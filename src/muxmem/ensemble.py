@@ -141,16 +141,6 @@ class FieldTimeline:
         return cls(((start_time, gradient), (freeze_time, 0.0), (release_time, -gradient)),
                    bias=bias, drift_rate=drift_rate)
 
-    def gradient_at(self, t: float) -> float:
-        """Programmed gradient at time t, without the drift factor."""
-        g = 0.0
-        for start, grad in self.segments:
-            if t >= start:
-                g = grad
-            else:
-                break
-        return g
-
     def _bounds(self):
         """Per-segment (start, end, gradient) with the last end at +inf."""
         out = []

@@ -8,9 +8,14 @@ read window is thermal with the analytic model's mean, so the tallies
 reproduce the closed-form statistics of :mod:`muxmem.model` in expectation.
 
 Trials are partitioned into fixed-size blocks, each driven by its own
-counter-derived Philox stream, and block tallies are integers summed in block
-order.  Results are therefore byte-identical for any worker count; the
-``MUXMEM_THREADS`` environment variable caps the thread pool.
+counter-derived Philox stream.  A block is tallied in one vectorized pass:
+the write clicks are listed once, and every count is an ``np.bincount`` by
+read mode, or by (herald mode, read mode) cell, over the block's reading
+trials and clicks.  Block counts are integers added into the running tally
+in place, so results are byte-identical for any worker count.  The default
+is one worker; ``n_workers`` or the ``MUXMEM_THREADS`` environment variable
+(an integer >= 1, else a :class:`~muxmem.config.ConfigError`) sets the size
+of a thread pool that tallies blocks concurrently.
 """
 
 from __future__ import annotations
@@ -18,10 +23,11 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
+from .config import ConfigError
 from .ensemble import FieldTimeline, collective_efficiency, rephasing_time
 from .model import MemoryParams
 
@@ -137,16 +143,23 @@ class CountsTally:
         return cls(0, m, vec(), vec(), mat(), mat(), mat(), vec(), vec(), mat(),
                    vec(), vec(), vec(), vec())
 
-    def merge(self, other: "CountsTally") -> "CountsTally":
+    def accumulate(self, other: "CountsTally") -> "CountsTally":
+        """Add ``other`` into this tally in place and return this tally."""
         if self.n_modes != other.n_modes:
             raise ValueError("cannot merge tallies with different mode counts")
-        kw = {"n_trials": self.n_trials + other.n_trials, "n_modes": self.n_modes}
-        for name in ("write_counts", "n_reads", "herald_reads", "coincidence_counts",
-                     "read_counts", "n_uncond_reads", "unconditional_read_counts",
-                     "uncond_coincidence_counts", "n_heralded_splits",
-                     "split_a", "split_b", "split_ab"):
-            kw[name] = getattr(self, name) + getattr(other, name)
-        return CountsTally(**kw)
+        self.n_trials += other.n_trials
+        for name in _COUNT_FIELDS:
+            getattr(self, name)[...] += getattr(other, name)
+        return self
+
+    def merge(self, other: "CountsTally") -> "CountsTally":
+        """New tally holding the sum of this tally and ``other``."""
+        return CountsTally.zeros(self.n_modes).accumulate(self).accumulate(other)
+
+
+#: The integer count arrays of a :class:`CountsTally`, in field order.
+_COUNT_FIELDS = tuple(f.name for f in fields(CountsTally)
+                      if f.name not in ("n_trials", "n_modes"))
 
 
 @dataclass(frozen=True)
@@ -162,9 +175,20 @@ class Estimate:
 
 def _worker_count(n_workers) -> int:
     if n_workers is not None:
-        return max(int(n_workers), 1)
+        workers = int(n_workers)
+        if workers < 1:
+            raise ValueError(f"n_workers must be >= 1, got {n_workers!r}")
+        return workers
     env = os.environ.get("MUXMEM_THREADS")
-    return max(int(env), 1) if env else 1
+    if not env:
+        return 1
+    try:
+        workers = int(env)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ConfigError(f"MUXMEM_THREADS: expected an integer >= 1, got {env!r}")
+    return workers
 
 
 def _block_rng(seed: int, block_index: int) -> np.random.Generator:
@@ -211,16 +235,34 @@ def run_trials(
     pint_eff = pint_t * scale                        # with external deficits
     nbar = mem.p * (m - pint_t) * mem.xi_eg / mem.beta_ratio * mem.eta_r
     p_coh = pint_eff * mem.eta_r
+    # Bose-Einstein photon number via inverse-CDF of the geometric law with
+    # q = 1 / (1 + nbar); log(1 - q) = -inf for nbar = 0 gives no photons.
+    log_q = np.array([math.log1p(-1.0 / (1.0 + n)) if n > 0 else -math.inf
+                      for n in nbar])
 
     n_blocks = (n_trials + BLOCK_SIZE - 1) // BLOCK_SIZE
 
-    def run_block(b: int) -> CountsTally:
+    def count(keys, weights=None, n=m):
+        """Integer histogram of ``keys`` over [0, n).
+
+        Weighted bincounts come back as float64; a block's sums stay far
+        below 2**53, so the cast back to int64 is exact.
+        """
+        c = np.bincount(keys, weights, minlength=n)
+        return c if weights is None else c.astype(np.int64)
+
+    def run_block(b: int, tally: CountsTally) -> CountsTally:
+        """Draw block ``b`` and add its counts into ``tally`` in place."""
         start = b * BLOCK_SIZE
         size = min(BLOCK_SIZE, n_trials - start)
         rng = _block_rng(seed, b)
         idx = start + np.arange(size)
         spin = rng.random((size, m)) < mem.p
         write = spin & (rng.random((size, m)) < mem.eta_w)
+        # Every write click as (trial, mode), trials ascending and modes
+        # ascending within a trial (flat indices are much faster than 2-D
+        # np.nonzero).
+        click_t, click_m = np.divmod(np.flatnonzero(write), m)
 
         # Which mode each trial reads: -1 marks "no read" (unheralded
         # feed-forward trials).  Fixed passes are flagged unconditional.
@@ -228,11 +270,10 @@ def run_trials(
             read_mode = np.full(size, -1, dtype=np.int64)
             uncond = idx % 2 == 1
             read_mode[uncond] = (idx[uncond] // 2) % m
-            ff = ~uncond
-            heralded = write.any(axis=1)
-            first = write.argmax(axis=1)
-            sel = ff & heralded
-            read_mode[sel] = first[sel]
+            first = np.ones(click_t.size, dtype=bool)    # first click of its trial
+            first[1:] = click_t[1:] != click_t[:-1]
+            ff = first & ~uncond[click_t]
+            read_mode[click_t[ff]] = click_m[ff]
         elif readout == CYCLE:
             read_mode = idx % m
             uncond = np.ones(size, dtype=bool)
@@ -240,59 +281,62 @@ def run_trials(
             read_mode = np.full(size, readout, dtype=np.int64)
             uncond = np.ones(size, dtype=bool)
 
-        tally = CountsTally.zeros(m)
-        tally.n_trials = size
-        tally.write_counts += write.sum(axis=0)
-
-        # Coherent photon and thermal background for every reading trial.
+        # Coherent photon and thermal background for every reading trial rt,
+        # which reads mode r.
         u_coh = rng.random(size)
         u_geom = rng.random(size)
+        rt = np.flatnonzero(read_mode >= 0)
+        r = read_mode[rt]
+        coh = spin[rt, r] & (u_coh[rt] < p_coh[r])
+        noise = np.floor(np.log1p(-u_geom[rt]) / log_q[r]).astype(np.int64)
+        ph = coh + noise
         n_photons = np.zeros(size, dtype=np.int64)
-        for r in range(m):
-            sel = read_mode == r
-            if not sel.any():
-                continue
-            coh = spin[sel, r] & (u_coh[sel] < p_coh[r])
-            # Bose-Einstein photon number via inverse-CDF of the geometric law
-            q = 1.0 / (1.0 + nbar[r])
-            noise = np.floor(np.log1p(-u_geom[sel]) / math.log1p(-q)).astype(np.int64) \
-                if nbar[r] > 0 else np.zeros(sel.sum(), dtype=np.int64)
-            n_photons[sel] = coh.astype(np.int64) + noise
+        n_photons[rt] = ph
 
         # Splitter: binomial split of each reading trial's photons.
         n_a = rng.binomial(n_photons, 0.5)
         n_b = n_photons - n_a
 
-        for r in range(m):
-            sel = read_mode == r
-            if not sel.any():
-                continue
-            w_sel = write[sel].astype(np.int64)
-            ph = n_photons[sel]
-            tally.n_reads[r] += sel.sum()
-            tally.herald_reads[:, r] += w_sel.sum(axis=0)
-            tally.coincidence_counts[:, r] += w_sel.T @ ph
-            tally.read_counts[:, r] += w_sel.T @ (ph > 0).astype(np.int64)
-            us = uncond[sel]
-            tally.n_uncond_reads[r] += us.sum()
-            tally.unconditional_read_counts[r] += ph[us].sum()
-            tally.uncond_coincidence_counts[:, r] += w_sel[us].T @ ph[us]
-            her = w_sel[:, r].astype(bool)
-            tally.n_heralded_splits[r] += her.sum()
-            tally.split_a[r] += ((n_a[sel] > 0) & her).sum()
-            tally.split_b[r] += ((n_b[sel] > 0) & her).sum()
-            tally.split_ab[r] += ((n_a[sel] > 0) & (n_b[sel] > 0) & her).sum()
+        tally.n_trials += size
+        tally.write_counts += count(click_m)
+        us = uncond[rt]
+        tally.n_reads += count(r)
+        tally.n_uncond_reads += count(r[us])
+        tally.unconditional_read_counts += count(r[us], ph[us])
+
+        # (herald mode, read mode) cells: one key per write click of a
+        # reading trial.
+        click_r = read_mode[click_t]
+        reading = click_r >= 0
+        ct, cm, cr = click_t[reading], click_m[reading], click_r[reading]
+        ph_c = n_photons[ct]
+        cells = lambda weights=None: count(cm * m + cr, weights, m * m).reshape(m, m)
+        tally.herald_reads += cells()
+        tally.coincidence_counts += cells(ph_c)
+        tally.read_counts += cells(ph_c > 0)
+        tally.uncond_coincidence_counts += cells(ph_c * uncond[ct])
+
+        # Virtual splitter on heralded reads: a write click in the read mode.
+        her = cm == cr
+        ht, hr = ct[her], cr[her]
+        arm_a = n_a[ht] > 0
+        arm_b = n_b[ht] > 0
+        tally.n_heralded_splits += count(hr)
+        tally.split_a += count(hr[arm_a])
+        tally.split_b += count(hr[arm_b])
+        tally.split_ab += count(hr[arm_a & arm_b])
         return tally
 
     workers = _worker_count(n_workers)
     total = CountsTally.zeros(m)
     if workers == 1:
         for b in range(n_blocks):
-            total = total.merge(run_block(b))
+            run_block(b, total)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            for block_tally in pool.map(run_block, range(n_blocks)):
-                total = total.merge(block_tally)
+            blocks = pool.map(lambda b: run_block(b, CountsTally.zeros(m)), range(n_blocks))
+            for block_tally in blocks:
+                total.accumulate(block_tally)
     return total
 
 

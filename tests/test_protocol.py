@@ -1,14 +1,20 @@
 """Trial engine, tallies, and correlation estimators."""
 
+import dataclasses
+import hashlib
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
+from muxmem.config import ConfigError
 from muxmem.ensemble import FieldTimeline
 from muxmem.model import MemoryParams, cross_correlation, retrieval_given_write, write_prob
 from muxmem.protocol import (
+    BLOCK_SIZE,
     CYCLE,
     FEED_FORWARD,
     CountsTally,
@@ -19,6 +25,7 @@ from muxmem.protocol import (
     estimate_statistics,
     heralded_autocorrelation,
     run_trials,
+    _block_rng,
 )
 
 FIVE = MemoryParams(p=0.05, eta_w=0.3, eta_r=0.25, p_int0=0.4,
@@ -154,6 +161,19 @@ def test_worker_count_does_not_change_tally():
                      "split_a", "split_b", "split_ab"):
             np.testing.assert_array_equal(getattr(base, name), getattr(other, name),
                                           err_msg=name)
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])
+def test_thread_env_variable_validated(monkeypatch, value):
+    monkeypatch.setenv("MUXMEM_THREADS", value)
+    with pytest.raises(ConfigError, match="MUXMEM_THREADS"):
+        run_trials(FIVE, quick_schedule(5), 1000, seed=8)
+
+
+@pytest.mark.parametrize("workers", [0, -2])
+def test_explicit_worker_count_validated(workers):
+    with pytest.raises(ValueError, match="n_workers"):
+        run_trials(FIVE, quick_schedule(5), 1000, seed=8, n_workers=workers)
 
 
 def test_thread_env_variable_respected(monkeypatch):
@@ -306,3 +326,197 @@ def test_retrieval_scale_reduces_signal():
     s = estimate_statistics(scaled)
     p = estimate_statistics(plain)
     assert s.g2[2, 2] < p.g2[2, 2]
+
+
+# Per-field SHA-256 prefixes of CountsTally (every field as int64, in field
+# order) recorded from the per-mode loop engine that the block-vectorized
+# tally replaced.  10_000 trials end in a partial block; "dark" sets
+# xi_eg = 0 (no background) and "scaled" passes a retrieval_scale.
+PINNED = MemoryParams(p=0.1, eta_w=0.4, eta_r=0.5, p_int0=0.6,
+                      beta_ratio=1.5, xi_eg=1.0, n_modes=1, tau_mem=20e-6)
+PINNED_DIGESTS = {
+    "ff-M1-plain": "8e965763e6a4bbc1 7c9fa136d4413fa6 600937f320e4c744 6e1d516c80fa0a27 600937f320e4c744 6d0d22a95af6226f 6d0d22a95af6226f f76343dc4d5d9507 0bcb6d9b00c110d1 563e0ed5fdceb76b 600937f320e4c744 1ff66ac9fef32032 72976ee8f1497b6b af5570f5a1810b7a",
+    "ff-M1-dark": "8e965763e6a4bbc1 7c9fa136d4413fa6 600937f320e4c744 6e1d516c80fa0a27 600937f320e4c744 0e42616c28c6997d 0e42616c28c6997d f76343dc4d5d9507 aed3c321b44b5d5a 703d37e650ac5852 600937f320e4c744 12718c7c46ba1149 8e9bcd43f7a4b257 af5570f5a1810b7a",
+    "ff-M1-scaled": "8e965763e6a4bbc1 7c9fa136d4413fa6 600937f320e4c744 6e1d516c80fa0a27 600937f320e4c744 3c88bf13b58cba9c 3c88bf13b58cba9c f76343dc4d5d9507 281f20a7574d48bb b0bd73e6922c0d24 600937f320e4c744 b0bd73e6922c0d24 a4bd89d0c3e16ec0 af5570f5a1810b7a",
+    "ff-M7-plain": "8e965763e6a4bbc1 aae89fc0f03e2959 437191db1c85463c e048b369a94af001 a04315dd6fe35634 3bf7e17d4341576d 8b23c6fd9f1be01d 555635aae58dcac9 07f0c4bcaf8b6d56 04fdc10275c1c3c8 64ab245b84ddb253 88158bef781ba1e4 b3c06db5232eb08c dc3473945f76bd4d",
+    "ff-M7-dark": "8e965763e6a4bbc1 aae89fc0f03e2959 437191db1c85463c e048b369a94af001 a04315dd6fe35634 806dfc7b6156878e 806dfc7b6156878e 555635aae58dcac9 4072907f480f5101 38c1806fb6b649b5 64ab245b84ddb253 0b348baabdd67892 f315291214b54710 d4817aa5497628e7",
+    "ff-M7-scaled": "8e965763e6a4bbc1 aae89fc0f03e2959 437191db1c85463c e048b369a94af001 a04315dd6fe35634 01a7373010bcae01 5eb84442e18b87b2 555635aae58dcac9 db40535ff5d8309c 43a485da298e4191 64ab245b84ddb253 b719c283fadbd010 006ce09f9acec48e 38f357db0cb069b6",
+    "cycle-M1-plain": "8e965763e6a4bbc1 7c9fa136d4413fa6 600937f320e4c744 8e965763e6a4bbc1 600937f320e4c744 6d0d22a95af6226f 6d0d22a95af6226f 8e965763e6a4bbc1 628df983c2ff87a3 6d0d22a95af6226f 600937f320e4c744 8250ab532e40d24a 0cbbab9d99fb661a af5570f5a1810b7a",
+    "cycle-M1-dark": "8e965763e6a4bbc1 7c9fa136d4413fa6 600937f320e4c744 8e965763e6a4bbc1 600937f320e4c744 0e42616c28c6997d 0e42616c28c6997d 8e965763e6a4bbc1 d82c5cdaa27e7d17 0e42616c28c6997d 600937f320e4c744 12718c7c46ba1149 8e9bcd43f7a4b257 af5570f5a1810b7a",
+    "cycle-M1-scaled": "8e965763e6a4bbc1 7c9fa136d4413fa6 600937f320e4c744 8e965763e6a4bbc1 600937f320e4c744 3c88bf13b58cba9c 3c88bf13b58cba9c 8e965763e6a4bbc1 68009628bdda0a4a 3c88bf13b58cba9c 600937f320e4c744 e48d939f60d90eb5 a111f275cc2e7588 af5570f5a1810b7a",
+    "cycle-M7-plain": "8e965763e6a4bbc1 aae89fc0f03e2959 437191db1c85463c 7ae8aeb00bdd1cba 0cb429468986928f 2ba5314ea2306e8d b80d4f9309b6b241 7ae8aeb00bdd1cba d192272389c80a49 2ba5314ea2306e8d 0092f4c87e1f75bb 0d69af0900436af8 7dcb308acf13fa80 a63e2ef983551b55",
+    "cycle-M7-dark": "8e965763e6a4bbc1 aae89fc0f03e2959 437191db1c85463c 7ae8aeb00bdd1cba 0cb429468986928f 2bf9eb3dafb68f68 2bf9eb3dafb68f68 7ae8aeb00bdd1cba fb26da941fec6932 2bf9eb3dafb68f68 0092f4c87e1f75bb 67636d07582117b2 ec0527b789831d99 d4817aa5497628e7",
+    "cycle-M7-scaled": "8e965763e6a4bbc1 aae89fc0f03e2959 437191db1c85463c 7ae8aeb00bdd1cba 0cb429468986928f 51d7d43b8b3b00e0 6737fb6d08b0b4b4 7ae8aeb00bdd1cba d7e879fb7e764d5b 51d7d43b8b3b00e0 0092f4c87e1f75bb 8d74d1255dd7c40b 3ad163fee3e70d69 0f46fc7eaf690301",
+    "last-M1-plain": "8e965763e6a4bbc1 7c9fa136d4413fa6 600937f320e4c744 8e965763e6a4bbc1 600937f320e4c744 6d0d22a95af6226f 6d0d22a95af6226f 8e965763e6a4bbc1 628df983c2ff87a3 6d0d22a95af6226f 600937f320e4c744 8250ab532e40d24a 0cbbab9d99fb661a af5570f5a1810b7a",
+    "last-M1-dark": "8e965763e6a4bbc1 7c9fa136d4413fa6 600937f320e4c744 8e965763e6a4bbc1 600937f320e4c744 0e42616c28c6997d 0e42616c28c6997d 8e965763e6a4bbc1 d82c5cdaa27e7d17 0e42616c28c6997d 600937f320e4c744 12718c7c46ba1149 8e9bcd43f7a4b257 af5570f5a1810b7a",
+    "last-M1-scaled": "8e965763e6a4bbc1 7c9fa136d4413fa6 600937f320e4c744 8e965763e6a4bbc1 600937f320e4c744 3c88bf13b58cba9c 3c88bf13b58cba9c 8e965763e6a4bbc1 68009628bdda0a4a 3c88bf13b58cba9c 600937f320e4c744 e48d939f60d90eb5 a111f275cc2e7588 af5570f5a1810b7a",
+    "last-M7-plain": "8e965763e6a4bbc1 aae89fc0f03e2959 437191db1c85463c 9f4c83bb5a3b685b 6735004c22af1c13 eea0ba0614e7e88a 0ce1b9f244ad610f 9f4c83bb5a3b685b 1522e99c5f8d9270 eea0ba0614e7e88a af1283ca8995b0b8 fde4818cf038d95d 22f350f6b73efd5f 6a5472aeef70a15c",
+    "last-M7-dark": "8e965763e6a4bbc1 aae89fc0f03e2959 437191db1c85463c 9f4c83bb5a3b685b 6735004c22af1c13 0409e8dc76dffdce 0409e8dc76dffdce 9f4c83bb5a3b685b ddf7113b1ed8a38a 0409e8dc76dffdce af1283ca8995b0b8 f2d130162ebbc247 f2d130162ebbc247 d4817aa5497628e7",
+    "last-M7-scaled": "8e965763e6a4bbc1 aae89fc0f03e2959 437191db1c85463c 9f4c83bb5a3b685b 6735004c22af1c13 3295f0b21260b3c5 f5a0e9ab5e0df4f6 9f4c83bb5a3b685b f63bda1aedb63cf9 3295f0b21260b3c5 af1283ca8995b0b8 043108a8c40d8c96 31e6f2901890b34b c5a48efd5a0a8574",
+}
+
+
+def tally_field_digests(tally):
+    return " ".join(
+        hashlib.sha256(np.asarray(getattr(tally, f.name), dtype=np.int64).tobytes())
+        .hexdigest()[:16]
+        for f in dataclasses.fields(CountsTally))
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_DIGESTS))
+def test_tally_digests_pinned(case):
+    readout, modes, variant = case.split("-")
+    m = int(modes[1:])
+    mem = replace(PINNED, n_modes=m, xi_eg=0.0 if variant == "dark" else 1.0)
+    scale = np.linspace(0.3, 0.9, m) if variant == "scaled" else None
+    readout = {"ff": FEED_FORWARD, "cycle": CYCLE, "last": m - 1}[readout]
+    tally = run_trials(mem, quick_schedule(m), 10_000, seed=2020,
+                       readout=readout, retrieval_scale=scale)
+    names = [f.name for f in dataclasses.fields(CountsTally)]
+    got = dict(zip(names, tally_field_digests(tally).split()))
+    want = dict(zip(names, PINNED_DIGESTS[case].split()))
+    assert got == want
+
+
+@st.composite
+def tallies(draw, n_modes):
+    counts = lambda shape: draw(hnp.arrays(np.int64, shape,
+                                           elements=st.integers(0, 10**6)))
+    values = {"n_trials": draw(st.integers(0, 10**6)), "n_modes": n_modes}
+    for f in dataclasses.fields(CountsTally)[2:]:
+        values[f.name] = counts(getattr(CountsTally.zeros(n_modes), f.name).shape)
+    return CountsTally(**values)
+
+
+def assert_tallies_equal(a, b):
+    for f in dataclasses.fields(CountsTally):
+        np.testing.assert_array_equal(getattr(a, f.name), getattr(b, f.name),
+                                      err_msg=f.name)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda m: st.lists(tallies(m), min_size=1, max_size=5)))
+def test_accumulate_equals_merge_chain(parts):
+    before = [dataclasses.astuple(p) for p in parts]
+    chained = parts[0]
+    for part in parts[1:]:
+        chained = chained.merge(part)
+    total = CountsTally.zeros(parts[0].n_modes)
+    for part in parts:
+        assert total.accumulate(part) is total
+    assert_tallies_equal(total, chained)
+    # Only the accumulating tally changes; merge leaves its operands alone.
+    for p, b in zip(parts, before):
+        assert_tallies_equal(p, CountsTally(*b))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda m: st.tuples(tallies(m), tallies(m), tallies(m))))
+def test_merge_associative(abc):
+    a, b, c = abc
+    assert_tallies_equal(a.merge(b).merge(c), a.merge(b.merge(c)))
+
+
+def test_merge_rejects_mode_mismatch():
+    with pytest.raises(ValueError):
+        CountsTally.zeros(2).merge(CountsTally.zeros(3))
+
+
+@settings(max_examples=30, deadline=None)
+@given(m=st.integers(1, 8), n_trials=st.integers(1, 9000), seed=st.integers(0, 2**32),
+       readout=st.sampled_from([FEED_FORWARD, CYCLE, "fixed"]), data=st.data())
+def test_tally_conservation_random(m, n_trials, seed, readout, data):
+    if readout == "fixed":
+        readout = data.draw(st.integers(0, m - 1))
+    tally = run_trials(replace(PINNED, n_modes=m), quick_schedule(m), n_trials,
+                       seed, readout=readout)
+    assert tally.n_trials == n_trials
+    assert np.all(tally.read_counts <= tally.herald_reads)
+    assert np.all(tally.herald_reads <= tally.write_counts[:, None])
+    assert np.all(tally.herald_reads.sum(axis=0) <= tally.n_reads.sum())
+    assert np.all(tally.uncond_coincidence_counts.diagonal()
+                  <= tally.unconditional_read_counts)
+    assert np.all(tally.split_ab <= np.minimum(tally.split_a, tally.split_b))
+    assert np.all(np.maximum(tally.split_a, tally.split_b) <= tally.n_heralded_splits)
+    np.testing.assert_array_equal(tally.n_heralded_splits, tally.herald_reads.diagonal())
+    assert np.all(tally.n_heralded_splits <= tally.n_reads)
+    assert np.all(tally.write_counts <= tally.n_trials)
+    if readout == FEED_FORWARD:
+        assert tally.n_uncond_reads.sum() == n_trials // 2
+    else:
+        assert tally.n_reads.sum() == tally.n_uncond_reads.sum() == n_trials
+
+
+def loop_run_trials(mem, schedule, n_trials, seed, readout, retrieval_scale=None):
+    """Reference engine: the same draws as run_trials, tallied mode by mode."""
+    m = mem.n_modes
+    scale = np.ones(m) if retrieval_scale is None else np.asarray(retrieval_scale, float)
+    pint_t = mem.p_int(schedule.storage_times)
+    nbar = mem.p * (m - pint_t) * mem.xi_eg / mem.beta_ratio * mem.eta_r
+    p_coh = pint_t * scale * mem.eta_r
+    total = CountsTally.zeros(m)
+    for b in range(-(-n_trials // BLOCK_SIZE)):
+        start = b * BLOCK_SIZE
+        size = min(BLOCK_SIZE, n_trials - start)
+        rng = _block_rng(seed, b)
+        idx = start + np.arange(size)
+        spin = rng.random((size, m)) < mem.p
+        write = spin & (rng.random((size, m)) < mem.eta_w)
+        if readout == FEED_FORWARD:
+            read_mode = np.full(size, -1, dtype=np.int64)
+            uncond = idx % 2 == 1
+            read_mode[uncond] = (idx[uncond] // 2) % m
+            sel = ~uncond & write.any(axis=1)
+            read_mode[sel] = write.argmax(axis=1)[sel]
+        else:
+            read_mode = idx % m if readout == CYCLE else np.full(size, readout)
+            uncond = np.ones(size, dtype=bool)
+        u_coh = rng.random(size)
+        u_geom = rng.random(size)
+        n_photons = np.zeros(size, dtype=np.int64)
+        for r in range(m):
+            sel = read_mode == r
+            coh = spin[sel, r] & (u_coh[sel] < p_coh[r])
+            noise = np.zeros(sel.sum(), dtype=np.int64)
+            if nbar[r] > 0:
+                q = 1.0 / (1.0 + nbar[r])
+                noise = np.floor(np.log1p(-u_geom[sel]) / math.log1p(-q)).astype(np.int64)
+            n_photons[sel] = coh + noise
+        n_a = rng.binomial(n_photons, 0.5)
+        n_b = n_photons - n_a
+        total.n_trials += size
+        total.write_counts += write.sum(axis=0)
+        for r in range(m):
+            sel = read_mode == r
+            w_sel = write[sel].astype(np.int64)
+            ph = n_photons[sel]
+            us = uncond[sel]
+            her = w_sel[:, r].astype(bool)
+            total.n_reads[r] += sel.sum()
+            total.herald_reads[:, r] += w_sel.sum(axis=0)
+            total.coincidence_counts[:, r] += w_sel.T @ ph
+            total.read_counts[:, r] += w_sel.T @ (ph > 0)
+            total.n_uncond_reads[r] += us.sum()
+            total.unconditional_read_counts[r] += ph[us].sum()
+            total.uncond_coincidence_counts[:, r] += w_sel[us].T @ ph[us]
+            total.n_heralded_splits[r] += her.sum()
+            total.split_a[r] += ((n_a[sel] > 0) & her).sum()
+            total.split_b[r] += ((n_b[sel] > 0) & her).sum()
+            total.split_ab[r] += ((n_a[sel] > 0) & (n_b[sel] > 0) & her).sum()
+    return total
+
+
+@settings(max_examples=25, deadline=None)
+@given(m=st.integers(1, 6), n_trials=st.integers(1, 9000), seed=st.integers(0, 2**32),
+       readout=st.sampled_from([FEED_FORWARD, CYCLE, "fixed"]),
+       xi_eg=st.sampled_from([0.0, 1.0]), scaled=st.booleans(), data=st.data())
+def test_vectorized_tally_equals_loop_reference(m, n_trials, seed, readout, xi_eg,
+                                                scaled, data):
+    if readout == "fixed":
+        readout = data.draw(st.integers(0, m - 1))
+    mem = replace(PINNED, n_modes=m, xi_eg=xi_eg)
+    scale = np.linspace(0.2, 1.0, m) if scaled else None
+    schedule = quick_schedule(m)
+    assert_tallies_equal(
+        run_trials(mem, schedule, n_trials, seed, readout=readout, retrieval_scale=scale),
+        loop_run_trials(mem, schedule, n_trials, seed, readout, retrieval_scale=scale))

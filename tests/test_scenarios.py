@@ -104,6 +104,15 @@ def test_cli_config_error_exit_2(tmp_path, capsys):
     assert "memory.bogus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_cli_bad_thread_count_exit_2(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("MUXMEM_THREADS", value)
+    assert main(["protocol-run", "--trials", "1000", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert f"MUXMEM_THREADS: expected an integer >= 1, got {value!r}" in err
+
+
 def test_cli_scenario_mismatch_exit_2(tmp_path):
     assert main(["echo", "--config", golden_config("crosstalk"),
                  "--out", str(tmp_path)]) == 2
