@@ -67,6 +67,7 @@ from .protocol import (
     crosstalk_matrix,
     estimate_statistics,
     heralded_autocorrelation,
+    rephasing_deficit,
     run_trials,
 )
 from .repeater import (

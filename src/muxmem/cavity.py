@@ -41,13 +41,10 @@ class PulseSpec:
     """Gaussian pulse described by its intensity FWHM in seconds."""
 
     duration_fwhm: float
-    shape: str = "gaussian"
 
     def __post_init__(self):
         if not self.duration_fwhm > 0.0:
             raise ValueError(f"duration_fwhm must be positive, got {self.duration_fwhm}")
-        if self.shape != "gaussian":
-            raise ValueError(f"only gaussian pulses are supported, got {self.shape!r}")
 
     @property
     def spectral_fwhm(self) -> float:

@@ -18,6 +18,7 @@ from dataclasses import replace
 
 from .config import SCENARIOS, ConfigError, parse_config
 from .ensemble import NoRephasingError
+from .protocol import _worker_count
 from .scenarios import emit_csv, emit_json, run_scenario
 
 
@@ -40,6 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _worker_count(None)  # a bad MUXMEM_THREADS fails every scenario alike
         if args.config is not None:
             try:
                 with open(args.config) as fh:

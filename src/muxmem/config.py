@@ -6,13 +6,19 @@ Config files are flat JSON objects with a ``scenario`` name, run controls
 and a scenario-specific ``options`` block.  Every key is optional except the
 scenario; unknown keys are rejected.  Keys carry unit suffixes (_s seconds,
 _m meters, _hz hertz, _g gauss, _g_per_cm gauss per centimeter).
+
+Each parameter block is defined once, in :data:`BLOCK_SPECS`: its class, and
+for every JSON key the field it sets and the parser that validates it.
+Block defaults are the values of a default :class:`ScenarioConfig` and are
+written nowhere else; parsing fills missing keys from it and serialization
+walks the same table, so a key cannot be parsed without being written out.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .cavity import CavityParams, PulseSpec
 from .ensemble import K_SW_DEFAULT, ZEEMAN_COEFF_DEFAULT
@@ -118,63 +124,71 @@ def _int_list(path, v, lo=None):
 
 
 def _block(raw, path, spec):
-    """Validate a dict block against {json_key: parser}; reject unknown keys."""
+    """Validate a block against {json_key: (field, parser)}; return {field: value}."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: expected an object")
     for key in raw:
         if key not in spec:
             raise ConfigError(f"{path}.{key}: unknown key (allowed: {sorted(spec)})")
-    return {key: parser(f"{path}.{key}", raw[key]) for key, parser in spec.items()
+    return {name: parser(f"{path}.{key}", raw[key]) for key, (name, parser) in spec.items()
             if key in raw}
 
 
-_MEMORY_SPEC = {
-    "p": lambda p, v: _num(p, v, 0, 1, "probability"),
-    "eta_w": lambda p, v: _num(p, v, 0, 1, "efficiency"),
-    "eta_r": lambda p, v: _num(p, v, 0, 1, "efficiency"),
-    "p_int0": lambda p, v: _num(p, v, 0, 1, "efficiency"),
-    "beta_ratio": lambda p, v: _num(p, v, 1, None, "dimensionless"),
-    "xi_eg": lambda p, v: _num(p, v, 0, 1, "dimensionless"),
-    "n_modes": lambda p, v: _int(p, v, 1),
-    "tau_mem_s": lambda p, v: _num(p, v, 1e-12, None, "seconds"),
-    "decay_shape": lambda p, v: _choice(p, v, ("exponential", "gaussian")),
-}
-
-_CAVITY_SPEC = {
-    "transmission": lambda p, v: _num(p, v, 1e-6, 0.999999, "fraction"),
-    "loss": lambda p, v: _num(p, v, 1e-6, 0.999999, "fraction"),
-    "roundtrip_length_m": lambda p, v: _num(p, v, 1e-6, None, "meters"),
-}
-
-_PULSE_SPEC = {
-    "duration_fwhm_s": lambda p, v: _num(p, v, 1e-12, None, "seconds"),
-}
-
-_ENSEMBLE_SPEC = {
-    "n_atoms": lambda p, v: _int(p, v, 1),
-    "cloud_sigma_m": lambda p, v: _num(p, v, 0, None, "meters"),
-    "temperature_k": lambda p, v: _num(p, v, 0, None, "kelvin"),
-    "k_sw_rad_per_m": lambda p, v: None if v is None else _num(p, v, 0, None, "rad/m"),
-    "zeeman_coeff_hz_per_g": lambda p, v: _num(p, v, 0, None, "Hz/gauss"),
-}
-
-_SCHEDULE_SPEC = {
-    "mode_spacing_s": lambda p, v: _num(p, v, 1e-12, None, "seconds"),
-    "write_duration_s": lambda p, v: _num(p, v, 1e-12, None, "seconds"),
-    "gradient_g_per_cm": lambda p, v: _num(p, v, None, None, "gauss/cm"),
-    "bias_g": lambda p, v: _num(p, v, None, None, "gauss"),
-    "drift_rate_per_s": lambda p, v: _num(p, v, None, None, "1/s"),
-    "policy": lambda p, v: _choice(p, v, ("immediate_after_last", "freeze_release")),
-    "freeze_time_s": lambda p, v: None if v is None else _num(p, v, 0, None, "seconds"),
-    "release_time_s": lambda p, v: None if v is None else _num(p, v, 0, None, "seconds"),
-}
-
-_LINK_SPEC = {
-    "distance_m": lambda p, v: _num(p, v, 1e-3, None, "meters"),
-    "signal_velocity_m_per_s": lambda p, v: _num(p, v, 1.0, 299792458.0, "m/s"),
-    "n_modes": lambda p, v: _int(p, v, 1),
-    "herald_time_s": lambda p, v: _num(p, v, 0, None, "seconds"),
-    "decision_delay_s": lambda p, v: _num(p, v, 0, None, "seconds"),
+#: Parameter blocks: {block name: (class, {json key: (field, parser)})}.  Keys
+#: missing from a config take the field's value in the default ScenarioConfig.
+BLOCK_SPECS = {
+    "memory": (MemoryParams, {
+        "p": ("p", lambda p, v: _num(p, v, 0, 1, "probability")),
+        "eta_w": ("eta_w", lambda p, v: _num(p, v, 0, 1, "efficiency")),
+        "eta_r": ("eta_r", lambda p, v: _num(p, v, 0, 1, "efficiency")),
+        "p_int0": ("p_int0", lambda p, v: _num(p, v, 0, 1, "efficiency")),
+        "beta_ratio": ("beta_ratio", lambda p, v: _num(p, v, 1, None, "dimensionless")),
+        "xi_eg": ("xi_eg", lambda p, v: _num(p, v, 0, 1, "dimensionless")),
+        "n_modes": ("n_modes", lambda p, v: _int(p, v, 1)),
+        "tau_mem_s": ("tau_mem", lambda p, v: _num(p, v, 1e-12, None, "seconds")),
+        "decay_shape": ("decay_shape",
+                        lambda p, v: _choice(p, v, ("exponential", "gaussian"))),
+    }),
+    "cavity": (CavityParams, {
+        "transmission": ("transmission", lambda p, v: _num(p, v, 1e-6, 0.999999, "fraction")),
+        "loss": ("loss", lambda p, v: _num(p, v, 1e-6, 0.999999, "fraction")),
+        "roundtrip_length_m": ("roundtrip_length",
+                               lambda p, v: _num(p, v, 1e-6, None, "meters")),
+    }),
+    "pulse": (PulseSpec, {
+        "duration_fwhm_s": ("duration_fwhm", lambda p, v: _num(p, v, 1e-12, None, "seconds")),
+    }),
+    "ensemble": (EnsembleConfig, {
+        "n_atoms": ("n_atoms", lambda p, v: _int(p, v, 1)),
+        "cloud_sigma_m": ("cloud_sigma", lambda p, v: _num(p, v, 0, None, "meters")),
+        "temperature_k": ("temperature", lambda p, v: _num(p, v, 0, None, "kelvin")),
+        "k_sw_rad_per_m": ("k_sw",
+                           lambda p, v: None if v is None else _num(p, v, 0, None, "rad/m")),
+        "zeeman_coeff_hz_per_g": ("zeeman_coeff",
+                                  lambda p, v: _num(p, v, 0, None, "Hz/gauss")),
+    }),
+    "schedule": (ScheduleConfig, {
+        "mode_spacing_s": ("mode_spacing", lambda p, v: _num(p, v, 1e-12, None, "seconds")),
+        "write_duration_s": ("write_duration",
+                             lambda p, v: _num(p, v, 1e-12, None, "seconds")),
+        "gradient_g_per_cm": ("gradient", lambda p, v: _num(p, v, None, None, "gauss/cm")),
+        "bias_g": ("bias", lambda p, v: _num(p, v, None, None, "gauss")),
+        "drift_rate_per_s": ("drift_rate", lambda p, v: _num(p, v, None, None, "1/s")),
+        "policy": ("policy",
+                   lambda p, v: _choice(p, v, ("immediate_after_last", "freeze_release"))),
+        "freeze_time_s": ("freeze_time", lambda p, v: None if v is None
+                          else _num(p, v, 0, None, "seconds")),
+        "release_time_s": ("release_time", lambda p, v: None if v is None
+                           else _num(p, v, 0, None, "seconds")),
+    }),
+    "link": (LinkParams, {
+        "distance_m": ("distance", lambda p, v: _num(p, v, 1e-3, None, "meters")),
+        "signal_velocity_m_per_s": ("signal_velocity",
+                                    lambda p, v: _num(p, v, 1.0, 299792458.0, "m/s")),
+        "n_modes": ("n_modes", lambda p, v: _int(p, v, 1)),
+        "herald_time_s": ("herald_time", lambda p, v: _num(p, v, 0, None, "seconds")),
+        "decision_delay_s": ("decision_delay", lambda p, v: _num(p, v, 0, None, "seconds")),
+    }),
 }
 
 # Scenario-specific options: {key: (default, parser)}.
@@ -225,8 +239,8 @@ OPTION_SPECS = {
     },
 }
 
-_TOP_KEYS = ("scenario", "rng_seed", "n_trials", "output_path",
-             "memory", "cavity", "pulse", "ensemble", "schedule", "link", "options")
+_RUN_KEYS = ("scenario", "rng_seed", "n_trials", "output_path")
+_TOP_KEYS = (*_RUN_KEYS, *BLOCK_SPECS, "options")
 
 
 def parse_config(text: str, scenario: str | None = None) -> ScenarioConfig:
@@ -256,12 +270,8 @@ def parse_config(text: str, scenario: str | None = None) -> ScenarioConfig:
         raise ConfigError("scenario: missing (pass on the command line or in the config)")
     _choice("scenario", chosen, SCENARIOS)
 
-    mem = _block(raw.get("memory", {}), "memory", _MEMORY_SPEC)
-    cav = _block(raw.get("cavity", {}), "cavity", _CAVITY_SPEC)
-    pul = _block(raw.get("pulse", {}), "pulse", _PULSE_SPEC)
-    ens = _block(raw.get("ensemble", {}), "ensemble", _ENSEMBLE_SPEC)
-    sch = _block(raw.get("schedule", {}), "schedule", _SCHEDULE_SPEC)
-    lnk = _block(raw.get("link", {}), "link", _LINK_SPEC)
+    given = {name: _block(raw.get(name, {}), name, spec)
+             for name, (_, spec) in BLOCK_SPECS.items()}
 
     opt_spec = OPTION_SPECS[chosen]
     raw_opt = raw.get("options", {})
@@ -278,50 +288,12 @@ def parse_config(text: str, scenario: str | None = None) -> ScenarioConfig:
 
     defaults = ScenarioConfig(scenario=chosen)
     try:
-        memory = MemoryParams(
-            p=mem.get("p", defaults.memory.p),
-            eta_w=mem.get("eta_w", defaults.memory.eta_w),
-            eta_r=mem.get("eta_r", defaults.memory.eta_r),
-            p_int0=mem.get("p_int0", defaults.memory.p_int0),
-            beta_ratio=mem.get("beta_ratio", defaults.memory.beta_ratio),
-            xi_eg=mem.get("xi_eg", defaults.memory.xi_eg),
-            n_modes=mem.get("n_modes", defaults.memory.n_modes),
-            tau_mem=mem.get("tau_mem_s", defaults.memory.tau_mem),
-            decay_shape=mem.get("decay_shape", defaults.memory.decay_shape),
-        )
-        cavity = CavityParams(
-            transmission=cav.get("transmission", defaults.cavity.transmission),
-            loss=cav.get("loss", defaults.cavity.loss),
-            roundtrip_length=cav.get("roundtrip_length_m", defaults.cavity.roundtrip_length),
-        )
-        pulse = PulseSpec(duration_fwhm=pul.get("duration_fwhm_s", defaults.pulse.duration_fwhm))
-        link = LinkParams(
-            distance=lnk.get("distance_m", defaults.link.distance),
-            signal_velocity=lnk.get("signal_velocity_m_per_s", defaults.link.signal_velocity),
-            n_modes=lnk.get("n_modes", defaults.link.n_modes),
-            herald_time=lnk.get("herald_time_s", defaults.link.herald_time),
-            decision_delay=lnk.get("decision_delay_s", defaults.link.decision_delay),
-        )
+        blocks = {name: replace(getattr(defaults, name), **values)
+                  for name, values in given.items()}
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
-    ensemble = EnsembleConfig(
-        n_atoms=ens.get("n_atoms", 10000),
-        cloud_sigma=ens.get("cloud_sigma_m", 1e-3),
-        temperature=ens.get("temperature_k", 40e-6),
-        k_sw=ens.get("k_sw_rad_per_m", None),
-        zeeman_coeff=ens.get("zeeman_coeff_hz_per_g", ZEEMAN_COEFF_DEFAULT),
-    )
-    schedule = ScheduleConfig(
-        mode_spacing=sch.get("mode_spacing_s", 800e-9),
-        write_duration=sch.get("write_duration_s", 266e-9),
-        gradient=sch.get("gradient_g_per_cm", 2.0),
-        bias=sch.get("bias_g", 0.0),
-        drift_rate=sch.get("drift_rate_per_s", 0.0),
-        policy=sch.get("policy", "immediate_after_last"),
-        freeze_time=sch.get("freeze_time_s", None),
-        release_time=sch.get("release_time_s", None),
-    )
+    schedule = blocks["schedule"]
     if schedule.write_duration >= schedule.mode_spacing:
         raise ConfigError("schedule.write_duration_s: must be smaller than mode_spacing_s")
     if schedule.policy == "freeze_release":
@@ -333,75 +305,19 @@ def parse_config(text: str, scenario: str | None = None) -> ScenarioConfig:
         if not schedule.freeze_time < schedule.release_time:
             raise ConfigError("schedule.freeze_time_s: must be before release_time_s")
 
-    return ScenarioConfig(
-        scenario=chosen,
-        rng_seed=_int("rng_seed", raw.get("rng_seed", defaults.rng_seed), 0),
-        n_trials=_int("n_trials", raw.get("n_trials", defaults.n_trials), 1),
-        output_path=raw.get("output_path", defaults.output_path)
-        if isinstance(raw.get("output_path", "."), str)
-        else _fail_str("output_path"),
-        memory=memory,
-        cavity=cavity,
-        pulse=pulse,
-        ensemble=ensemble,
-        schedule=schedule,
-        link=link,
-        options=options,
-    )
-
-
-def _fail_str(path):
-    raise ConfigError(f"{path}: expected a string")
+    rng_seed = _int("rng_seed", raw.get("rng_seed", defaults.rng_seed), 0)
+    n_trials = _int("n_trials", raw.get("n_trials", defaults.n_trials), 1)
+    output_path = raw.get("output_path", defaults.output_path)
+    if not isinstance(output_path, str):
+        raise ConfigError("output_path: expected a string")
+    return ScenarioConfig(scenario=chosen, rng_seed=rng_seed, n_trials=n_trials,
+                          output_path=output_path, options=options, **blocks)
 
 
 def serialize_config(cfg: ScenarioConfig) -> str:
     """Serialize with every default materialized; parse round-trips exactly."""
-    doc = {
-        "scenario": cfg.scenario,
-        "rng_seed": cfg.rng_seed,
-        "n_trials": cfg.n_trials,
-        "output_path": cfg.output_path,
-        "memory": {
-            "p": cfg.memory.p,
-            "eta_w": cfg.memory.eta_w,
-            "eta_r": cfg.memory.eta_r,
-            "p_int0": cfg.memory.p_int0,
-            "beta_ratio": cfg.memory.beta_ratio,
-            "xi_eg": cfg.memory.xi_eg,
-            "n_modes": cfg.memory.n_modes,
-            "tau_mem_s": cfg.memory.tau_mem,
-            "decay_shape": cfg.memory.decay_shape,
-        },
-        "cavity": {
-            "transmission": cfg.cavity.transmission,
-            "loss": cfg.cavity.loss,
-            "roundtrip_length_m": cfg.cavity.roundtrip_length,
-        },
-        "pulse": {"duration_fwhm_s": cfg.pulse.duration_fwhm},
-        "ensemble": {
-            "n_atoms": cfg.ensemble.n_atoms,
-            "cloud_sigma_m": cfg.ensemble.cloud_sigma,
-            "temperature_k": cfg.ensemble.temperature,
-            "k_sw_rad_per_m": cfg.ensemble.k_sw,
-            "zeeman_coeff_hz_per_g": cfg.ensemble.zeeman_coeff,
-        },
-        "schedule": {
-            "mode_spacing_s": cfg.schedule.mode_spacing,
-            "write_duration_s": cfg.schedule.write_duration,
-            "gradient_g_per_cm": cfg.schedule.gradient,
-            "bias_g": cfg.schedule.bias,
-            "drift_rate_per_s": cfg.schedule.drift_rate,
-            "policy": cfg.schedule.policy,
-            "freeze_time_s": cfg.schedule.freeze_time,
-            "release_time_s": cfg.schedule.release_time,
-        },
-        "link": {
-            "distance_m": cfg.link.distance,
-            "signal_velocity_m_per_s": cfg.link.signal_velocity,
-            "n_modes": cfg.link.n_modes,
-            "herald_time_s": cfg.link.herald_time,
-            "decision_delay_s": cfg.link.decision_delay,
-        },
-        "options": cfg.options,
-    }
+    doc = {key: getattr(cfg, key) for key in (*_RUN_KEYS, "options")}
+    for name, (_, spec) in BLOCK_SPECS.items():
+        block = getattr(cfg, name)
+        doc[name] = {key: getattr(block, attr) for key, (attr, _) in spec.items()}
     return json.dumps(doc, indent=2, sort_keys=True)

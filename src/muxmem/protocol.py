@@ -6,6 +6,9 @@ readout time, and tallies detected read photons together with a virtual
 balanced splitter for autocorrelation estimates.  Background light in the
 read window is thermal with the analytic model's mean, so the tallies
 reproduce the closed-form statistics of :mod:`muxmem.model` in expectation.
+Readout times come from a gradient timeline alone (:func:`build_schedule`);
+:func:`rephasing_deficit` turns a drifting applied field into per-mode
+retrieval factors.
 
 Trials are partitioned into fixed-size blocks, each driven by its own
 counter-derived Philox stream.  A block is tallied in one vectorized pass:
@@ -28,7 +31,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .config import ConfigError
-from .ensemble import FieldTimeline, collective_efficiency, rephasing_time
+from .ensemble import AtomEnsemble, FieldTimeline, collective_efficiency, rephasing_time
 from .model import MemoryParams
 
 #: Trials per RNG block.  Fixed: it is part of the determinism contract.
@@ -52,7 +55,6 @@ class ModeSchedule:
     n_modes: int
     mode_spacing: float
     write_duration: float
-    reversal_policy: str
     write_times: np.ndarray
     readout_times: np.ndarray
 
@@ -76,7 +78,6 @@ def build_schedule(
     mode_spacing: float,
     write_duration: float,
     timeline: FieldTimeline,
-    policy: str = "immediate_after_last",
     horizon: float = 0.01,
 ) -> ModeSchedule:
     """Schedule a train of modes against a gradient timeline.
@@ -85,10 +86,9 @@ def build_schedule(
     rephasing time for that write.  Readouts must land strictly after the
     final gradient step (the reversal, or the release for a freeze program);
     with a reversal right after the last mode this makes the readout order
-    the reverse of the write order.
+    the reverse of the write order.  Readout timing comes from the timeline
+    alone.
     """
-    if policy not in ("immediate_after_last", "freeze_release"):
-        raise ValueError(f"unknown reversal policy {policy!r}")
     write_times = np.arange(n_modes) * mode_spacing
     readout_times = np.array(
         [rephasing_time(timeline, float(tw), horizon=horizon) for tw in write_times]
@@ -102,7 +102,6 @@ def build_schedule(
         n_modes=n_modes,
         mode_spacing=mode_spacing,
         write_duration=write_duration,
-        reversal_policy=policy,
         write_times=write_times,
         readout_times=readout_times,
     )
@@ -468,6 +467,24 @@ def crosstalk_matrix(
     return g2, err
 
 
+def rephasing_deficit(
+    ens: AtomEnsemble, timeline: FieldTimeline, schedule: ModeSchedule
+) -> np.ndarray:
+    """Per-mode echo contrast at the programmed readouts, clipped to [0, 1].
+
+    Mode m's collective efficiency (unit intrinsic retrieval) under the
+    ``timeline`` actually applied, read at ``schedule.readout_times[m]``.
+    Used as the ``retrieval_scale`` of :func:`run_trials` when the applied
+    gradient drifts; pass a motion-frozen ensemble, since motional decay is
+    already in ``MemoryParams.tau_mem``.
+    """
+    scale = np.array([
+        collective_efficiency(ens, timeline, float(tw), float(tr), 1.0)
+        for tw, tr in zip(schedule.write_times, schedule.readout_times)
+    ])
+    return np.clip(scale, 0.0, 1.0)
+
+
 def coincidence_scaling(
     mem: MemoryParams,
     n_modes_values,
@@ -492,12 +509,11 @@ def coincidence_scaling(
                                                 each mode read in its slot)
 
     With ``drift_rate`` nonzero the actually applied timeline drifts, so each
-    mode's retrieval at its programmed time is scaled by the ensemble-averaged
-    rephasing deficit computed from ``ens`` (pass a motion-frozen ensemble;
-    motional decay is already in ``mem.tau_mem``).  Without decay, drift, and
-    background (xi_eg = 0) the coincidence total is exactly linear in N;
-    background pairs add a weak super-linear component since every stored
-    mode contributes noise.
+    mode's retrieval at its programmed time is scaled by the
+    :func:`rephasing_deficit` of ``ens`` (pass a motion-frozen ensemble).
+    Without decay, drift, and background (xi_eg = 0) the coincidence total is
+    exactly linear in N; background pairs add a weak super-linear component
+    since every stored mode contributes noise.
 
     Returns an array of rows (n_modes, p_w_total, p_wr_total).
     """
@@ -510,14 +526,10 @@ def coincidence_scaling(
         t_rev = (n - 1) * mode_spacing + write_duration
         nominal = FieldTimeline.reversal(gradient, t_rev, bias=bias)
         schedule = build_schedule(n, mode_spacing, write_duration, nominal)
+        scale = None
         if drift_rate != 0.0:
             drifted = FieldTimeline.reversal(gradient, t_rev, bias=bias, drift_rate=drift_rate)
-            scale = np.array([
-                collective_efficiency(ens, drifted, float(tw), float(tr), 1.0)
-                for tw, tr in zip(schedule.write_times, schedule.readout_times)
-            ])
-        else:
-            scale = None
+            scale = rephasing_deficit(ens, drifted, schedule)
         tally = run_trials(mem_n, schedule, n_trials, _child_seed(seed, n),
                            readout=CYCLE, retrieval_scale=scale)
         p_w_total = tally.write_counts.sum() / tally.n_trials

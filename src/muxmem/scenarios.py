@@ -28,7 +28,6 @@ from .config import ScenarioConfig
 from .ensemble import (
     AtomEnsemble,
     FieldTimeline,
-    collective_efficiency,
     echo_profile,
     rephasing_time,
     sample_ensemble,
@@ -40,6 +39,7 @@ from .protocol import (
     build_schedule,
     crosstalk_matrix,
     estimate_statistics,
+    rephasing_deficit,
     run_trials,
 )
 from .repeater import (
@@ -72,26 +72,11 @@ def _timeline(cfg: ScenarioConfig, n_modes: int) -> FieldTimeline:
         sch.gradient, t_last, bias=sch.bias, drift_rate=sch.drift_rate)
 
 
-def _frozen_ensemble(cfg: ScenarioConfig) -> AtomEnsemble:
-    """Position-only ensemble (motion frozen) for gradient-drift estimates."""
-    ens = sample_ensemble(
-        cfg.ensemble.n_atoms, cfg.ensemble.cloud_sigma, 0.0,
-        seed=cfg.rng_seed, k_sw=cfg.ensemble.k_sw_value,
-        zeeman_coeff=cfg.ensemble.zeeman_coeff)
-    return ens
-
-
-def _retrieval_scale(cfg: ScenarioConfig, schedule) -> np.ndarray | None:
-    """Per-mode echo contrast under field drift, or None when drift is off."""
-    if cfg.schedule.drift_rate == 0.0:
-        return None
-    ens = _frozen_ensemble(cfg)
-    timeline = _timeline(cfg, schedule.n_modes)
-    scale = np.array([
-        collective_efficiency(ens, timeline, t_w, t_r, p_int0=1.0)
-        for t_w, t_r in zip(schedule.write_times, schedule.readout_times)
-    ])
-    return np.clip(scale, 0.0, 1.0)
+def _ensemble(cfg: ScenarioConfig, temperature: float) -> AtomEnsemble:
+    """Sampled ensemble of the ensemble block; temperature 0 freezes the motion."""
+    ens = cfg.ensemble
+    return sample_ensemble(ens.n_atoms, ens.cloud_sigma, temperature, seed=cfg.rng_seed,
+                           k_sw=ens.k_sw_value, zeeman_coeff=ens.zeeman_coeff)
 
 
 def _scenario_mode_sweep(cfg):
@@ -170,10 +155,7 @@ def _scenario_pulse_enhancement(cfg):
 
 
 def _scenario_echo(cfg):
-    ens = sample_ensemble(
-        cfg.ensemble.n_atoms, cfg.ensemble.cloud_sigma, cfg.ensemble.temperature,
-        seed=cfg.rng_seed, k_sw=cfg.ensemble.k_sw_value,
-        zeeman_coeff=cfg.ensemble.zeeman_coeff)
+    ens = _ensemble(cfg, cfg.ensemble.temperature)
     sch = cfg.schedule
     timeline = FieldTimeline.reversal(
         sch.gradient, cfg.options["reverse_time_s"],
@@ -196,16 +178,15 @@ def _scenario_echo(cfg):
 
 def _scenario_protocol_run(cfg):
     sch = cfg.schedule
+    # Motion-frozen: motional decay is already in the memory's tau_mem.
+    frozen = _ensemble(cfg, 0.0) if sch.drift_rate != 0.0 else None
     rows = []
     g2_last = None
     for n in cfg.options["n_modes_values"]:
         mem = replace(cfg.memory, n_modes=n)
         timeline = _timeline(cfg, n)
-        schedule = build_schedule(
-            n, sch.mode_spacing, sch.write_duration, timeline,
-            policy="freeze_release" if sch.policy == "freeze_release"
-            else "immediate_after_last")
-        scale = _retrieval_scale(cfg, schedule)
+        schedule = build_schedule(n, sch.mode_spacing, sch.write_duration, timeline)
+        scale = None if frozen is None else rephasing_deficit(frozen, timeline, schedule)
         tally = run_trials(mem, schedule, cfg.n_trials,
                            seed=_child_seed(cfg.rng_seed, n),
                            readout=CYCLE, retrieval_scale=scale)

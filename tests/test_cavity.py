@@ -168,5 +168,3 @@ def test_cavity_validation(kwargs):
 def test_pulse_validation():
     with pytest.raises(ValueError):
         PulseSpec(0.0)
-    with pytest.raises(ValueError):
-        PulseSpec(266e-9, shape="square")

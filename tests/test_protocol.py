@@ -62,17 +62,16 @@ def test_build_schedule_freeze_release_uniform_shift():
     immediate = build_schedule(n, spacing, wd, FieldTimeline.reversal(2.0, t_last))
     frozen = build_schedule(
         n, spacing, wd,
-        FieldTimeline.freeze_release(2.0, t_last, t_last + 5e-6),
-        policy="freeze_release")
+        FieldTimeline.freeze_release(2.0, t_last, t_last + 5e-6))
     shift = np.array(frozen.readout_times) - np.array(immediate.readout_times)
     np.testing.assert_allclose(shift, 5e-6, atol=1e-12)
 
 
 def test_schedule_validation():
     with pytest.raises(ValueError):
-        ModeSchedule(1, 200e-9, 800e-9, "immediate_after_last", (0.0,), (2e-6,))
+        ModeSchedule(1, 200e-9, 800e-9, (0.0,), (2e-6,))
     with pytest.raises(ValueError):
-        ModeSchedule(1, 800e-9, 266e-9, "immediate_after_last", (1e-6,), (0.5e-6,))
+        ModeSchedule(1, 800e-9, 266e-9, (1e-6,), (0.5e-6,))
 
 
 def test_run_trials_zero_excitation():

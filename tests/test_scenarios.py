@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import muxmem
 from muxmem.cli import main
 from muxmem.config import SCENARIOS, parse_config
 from muxmem.scenarios import ScenarioResult, emit_csv, run_scenario
@@ -104,10 +105,13 @@ def test_cli_config_error_exit_2(tmp_path, capsys):
     assert "memory.bogus" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["abc", "0"])
-def test_cli_bad_thread_count_exit_2(tmp_path, capsys, monkeypatch, value):
+@pytest.mark.parametrize(
+    "value, scenario",
+    [("abc", "protocol-run"), ("0", "protocol-run"), ("abc", "repeater-rate")],
+    ids=["abc", "0", "abc-repeater-rate"])
+def test_cli_bad_thread_count_exit_2(tmp_path, capsys, monkeypatch, value, scenario):
     monkeypatch.setenv("MUXMEM_THREADS", value)
-    assert main(["protocol-run", "--trials", "1000", "--out", str(tmp_path)]) == 2
+    assert main([scenario, "--trials", "1000", "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err
     assert f"MUXMEM_THREADS: expected an integer >= 1, got {value!r}" in err
@@ -142,8 +146,12 @@ def test_cli_defaults_without_config(tmp_path):
 
 
 def test_console_script(tmp_path):
+    # The child imports the package under test, however pytest found it.
+    src = str(Path(muxmem.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "muxmem.cli", "repeater-rate", "--out", str(tmp_path)],
-        capture_output=True, text=True, env={**os.environ, "MUXMEM_THREADS": "1"})
+        capture_output=True, text=True,
+        env={**os.environ, "MUXMEM_THREADS": "1", "PYTHONPATH": path})
     assert proc.returncode == 0
     assert (tmp_path / "repeater-rate_summary.json").exists()
