@@ -228,19 +228,66 @@ def collective_efficiency(
     return p_int0 * float(np.abs(np.exp(1j * state.phases).mean()) ** 2)
 
 
-def _efficiency_curve(ens, timeline, write_time, times, p_int0, chunk=512):
-    """Vectorized collective efficiency on a time grid (bias omitted, it cancels)."""
+#: Atoms per tile of the echo kernel; with up to ``TIME_TILE`` times, a
+#: tile's three work buffers stay within a per-core L2 cache.
+ATOM_TILE = 256
+
+#: Times per tile of the echo kernel.  Kept at 512: a tile one time wide is
+#: summed pairwise (see ``_efficiency_curve``), so tiles must be one time
+#: wide exactly where the untiled kernel's 512-time chunks were.
+TIME_TILE = 512
+
+
+def _efficiency_curve(ens, timeline, write_time, times, p_int0):
+    """Collective efficiency p_int0 |mean_j exp(i phi_j(t))|^2 on a time grid.
+
+    The bias is omitted; it is a global phase and cancels.  Atoms and times
+    are streamed through tiles of at most ``ATOM_TILE`` x ``TIME_TILE``, so
+    no (atoms x times) array is built.  The result is bit-identical to
+    ``np.abs(np.exp(1j * phi).mean(axis=0)) ** 2`` taken on each 512-time
+    chunk of the (atoms x times) phase array:
+
+    - the phase of each element comes from the same elementwise operations,
+      and ``exp`` reads it from the imaginary part of a buffer whose real
+      part is +0, as ``1j * phi`` makes it (``exp(+-0) = 1``);
+    - each time's phasors are summed sequentially over atoms, the order in
+      which ``mean(axis=0)`` reduces a C-ordered array: row 0 of the exp
+      buffer carries the running sum from one atom tile into the next, and
+      the first tile starts from its own first atom;
+    - numpy sums a single column pairwise, not row by row, so a tile one
+      time wide takes every atom at once;
+    - the sum is divided by the atom count with ``np.true_divide``, as
+      ``np.mean`` divides it.
+    """
     times = np.asarray(times, dtype=float)
     a, q = _phase_coefficients(timeline, write_time, times)
     zc = ens.zeeman_coeff
-    z = ens.positions[:, None]
-    vel = ens.velocities[:, None]
+    n_atoms = ens.n_atoms
     out = np.empty_like(times)
-    for i in range(0, len(times), chunk):
-        sl = slice(i, i + chunk)
+    for t0 in range(0, len(times), TIME_TILE):
+        sl = slice(t0, t0 + TIME_TILE)
+        za = zc * a[sl]
         b = ens.k_sw * (times[sl] - write_time) + zc * q[sl]
-        ph = z * (zc * a[sl])[None, :] + vel * b[None, :]
-        out[sl] = np.abs(np.exp(1j * ph).mean(axis=0)) ** 2
+        width = len(b)
+        step = n_atoms if width == 1 else min(ATOM_TILE, n_atoms)
+        phase = np.zeros((step, width), dtype=complex)
+        vb = np.empty((step, width))
+        expo = np.empty((step + 1, width), dtype=complex)
+        acc = np.empty(width, dtype=complex)
+        for i in range(0, n_atoms, step):
+            k = min(step, n_atoms - i)
+            im = phase[:k].imag
+            np.multiply(ens.positions[i:i + k, None], za, out=im)
+            np.multiply(ens.velocities[i:i + k, None], b, out=vb[:k])
+            np.add(im, vb[:k], out=im)
+            np.exp(phase[:k], out=expo[1:k + 1])
+            if i == 0:
+                np.add.reduce(expo[1:k + 1], axis=0, out=acc)
+            else:
+                expo[0] = acc
+                np.add.reduce(expo[:k + 1], axis=0, out=acc)
+        np.true_divide(acc, n_atoms, out=acc, casting="unsafe")
+        out[sl] = np.abs(acc) ** 2
     return p_int0 * out
 
 
@@ -309,6 +356,11 @@ def echo_profile(
     profile is the envelope-weighted average of the single-creation-time
     efficiency, evaluated by Gauss-Hermite quadrature with ``nodes`` nodes
     (33 by default).
+
+    Each node's curve sums the phasors sequentially over atoms, with an
+    ordered carry between atom tiles, and divides by the atom count as
+    ``np.mean`` divides, so its bits equal those of the untiled kernel (see
+    ``_efficiency_curve``).
 
     Returns an array of shape (len(times), 2) with columns (time, efficiency).
     """

@@ -370,8 +370,9 @@ def estimate_statistics(tally: CountsTally) -> TallyStatistics:
     p_wr / (p_w p_r) but unbiased when reads are herald-conditioned
     (feed-forward data): the heralded retrieval estimate comes from read-j
     trials with a herald in i, the normalization from unconditional passes.
-    Cells without data are NaN; zero coincidences with nonzero singles give 0
-    with a one-sided single-count error.
+    Cells without data are NaN, and so are cells whose read mode had no
+    unconditional photons (p_r = 0); zero coincidences with nonzero singles
+    give 0 with a one-sided single-count error.
     """
     m = tally.n_modes
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -397,7 +398,7 @@ def estimate_statistics(tally: CountsTally) -> TallyStatistics:
         hr = tally.herald_reads.astype(float)
         pairs = tally.coincidence_counts.astype(float)
         p_rw = np.where(hr > 0, pairs / np.maximum(hr, 1), np.nan)  # p(r|w)
-        g2 = p_rw / p_r[None, :]
+        g2 = np.where(p_r[None, :] > 0, p_rw / p_r[None, :], np.nan)
         rel = np.sqrt(
             1.0 / np.maximum(pairs, 1.0)
             + 1.0 / np.maximum(tally.unconditional_read_counts[None, :], 1.0)

@@ -1,12 +1,16 @@
 """Spin-wave dephasing Monte Carlo against closed-form laws."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from muxmem.ensemble import (
+    ATOM_TILE,
     K_SW_DEFAULT,
+    TIME_TILE,
     ZEEMAN_COEFF_DEFAULT,
     AtomEnsemble,
     FieldTimeline,
@@ -17,6 +21,8 @@ from muxmem.ensemble import (
     rephasing_time,
     sample_ensemble,
     zeeman_detuning,
+    _efficiency_curve,
+    _phase_coefficients,
 )
 from muxmem.cavity import PulseSpec
 
@@ -254,3 +260,58 @@ def test_ensemble_validation():
         AtomEnsemble(np.zeros(3), np.zeros(4))
     with pytest.raises(ValueError):
         AtomEnsemble(np.zeros(0), np.zeros(0))
+
+
+# SHA-256 of echo_profile output bytes for 2000 atoms x 600 times x two pulse
+# widths, recorded from the untiled kernel (one (atoms x times) array per
+# 512-time chunk) before it was replaced by the tiled one.
+ECHO_PROFILE_DIGEST = "0d2784580e0daaf3efdecab5e9d91b310cc16c82916e88a632a2e95c2816713e"
+
+
+def test_echo_profile_bytes_pinned():
+    ens = sample_ensemble(2000, SIGMA_Z, 40e-6, seed=11)
+    timeline = FieldTimeline.reversal(2.0, 2e-6, drift_rate=2000.0)
+    times = np.linspace(3.0e-6, 5.0e-6, 600)
+    digest = hashlib.sha256()
+    for fwhm in (133e-9, 532e-9):
+        digest.update(echo_profile(ens, timeline, 0.0, PulseSpec(fwhm), 0.4, times).tobytes())
+    assert digest.hexdigest() == ECHO_PROFILE_DIGEST
+
+
+def untiled_efficiency_curve(ens, timeline, write_time, times, p_int0, chunk=512):
+    """Reference kernel: the echo kernel as it was before tiling, verbatim."""
+    times = np.asarray(times, dtype=float)
+    a, q = _phase_coefficients(timeline, write_time, times)
+    zc = ens.zeeman_coeff
+    z = ens.positions[:, None]
+    vel = ens.velocities[:, None]
+    out = np.empty_like(times)
+    for i in range(0, len(times), chunk):
+        sl = slice(i, i + chunk)
+        b = ens.k_sw * (times[sl] - write_time) + zc * q[sl]
+        ph = z * (zc * a[sl])[None, :] + vel * b[None, :]
+        out[sl] = np.abs(np.exp(1j * ph).mean(axis=0)) ** 2
+    return p_int0 * out
+
+
+def edge_or_range(edges, hi):
+    return st.one_of(st.sampled_from(edges), st.integers(1, hi))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_atoms=edge_or_range([1, 2, ATOM_TILE, ATOM_TILE + 1, 2 * ATOM_TILE + 1],
+                             3 * ATOM_TILE + 7),
+       n_times=edge_or_range([1, 2, TIME_TILE, TIME_TILE + 1, TIME_TILE + 2],
+                             2 * TIME_TILE + 3),
+       temperature=st.sampled_from([0.0, 40e-6]),
+       write_time=st.floats(-5e-7, 1.5e-6),
+       drift_rate=st.floats(-2e4, 2e4),
+       seed=st.integers(0, 2**32 - 1))
+def test_tiled_kernel_equals_untiled_reference(n_atoms, n_times, temperature, write_time,
+                                               drift_rate, seed):
+    ens = sample_ensemble(n_atoms, SIGMA_Z, temperature, seed=seed)
+    timeline = FieldTimeline.reversal(2.0, 2e-6, drift_rate=drift_rate)
+    times = np.linspace(write_time, 6e-6, n_times)
+    got = _efficiency_curve(ens, timeline, write_time, times, 0.37)
+    want = untiled_efficiency_curve(ens, timeline, write_time, times, 0.37)
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))

@@ -235,6 +235,17 @@ def test_empty_cells_are_nan():
     assert not stats.g2_cell(0, 1)
 
 
+def test_pairs_without_unconditional_photons_are_nan():
+    tally = CountsTally.zeros(2)
+    tally.n_trials = 100
+    tally.herald_reads[0, 0] = 10
+    tally.coincidence_counts[0, 0] = 3
+    tally.n_uncond_reads[:] = 50
+    stats = estimate_statistics(tally)
+    assert stats.p_r[0] == 0.0
+    assert np.isnan(stats.g2[0, 0]) and np.isnan(stats.g2_err[0, 0])
+
+
 def test_autocorrelation_noise_free_is_zero():
     # Single retrieved photons never coincide across the splitter.
     mem = replace(FIVE, xi_eg=0.0)
@@ -378,10 +389,10 @@ def test_tally_digests_pinned(case):
 
 
 @st.composite
-def tallies(draw, n_modes):
+def tallies(draw, n_modes, max_count=10**6):
     counts = lambda shape: draw(hnp.arrays(np.int64, shape,
-                                           elements=st.integers(0, 10**6)))
-    values = {"n_trials": draw(st.integers(0, 10**6)), "n_modes": n_modes}
+                                           elements=st.integers(0, max_count)))
+    values = {"n_trials": draw(st.integers(0, max_count)), "n_modes": n_modes}
     for f in dataclasses.fields(CountsTally)[2:]:
         values[f.name] = counts(getattr(CountsTally.zeros(n_modes), f.name).shape)
     return CountsTally(**values)
@@ -419,6 +430,41 @@ def test_merge_associative(abc):
 def test_merge_rejects_mode_mismatch():
     with pytest.raises(ValueError):
         CountsTally.zeros(2).merge(CountsTally.zeros(3))
+
+
+# Counts up to 3 make zero singles, zero pairs and empty cells common.
+small_tallies = st.integers(1, 4).flatmap(lambda m: tallies(m, max_count=3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_tallies)
+def test_g2_never_infinite(tally):
+    stats = estimate_statistics(tally)
+    assert not np.isinf(stats.g2).any()
+    assert not np.isinf(stats.g2_err).any()
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_tallies)
+def test_zero_pair_cells_one_sided(tally):
+    stats = estimate_statistics(tally)
+    p_r = np.broadcast_to(stats.p_r, tally.herald_reads.shape)
+    zero = (tally.coincidence_counts == 0) & (tally.herald_reads > 0) & (p_r > 0)
+    assert np.all(stats.g2[zero] == 0.0)
+    np.testing.assert_array_equal(stats.g2_err[zero],
+                                  (1.0 / tally.herald_reads[zero]) / p_r[zero])
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_tallies, st.data())
+def test_autocorrelation_nan_exactly_without_counts(tally, data):
+    mode = data.draw(st.one_of(st.none(), st.integers(0, tally.n_modes - 1)))
+    sl = slice(None) if mode is None else slice(mode, mode + 1)
+    empty = min(tally.split_a[sl].sum(), tally.split_b[sl].sum(),
+                tally.n_heralded_splits[sl].sum()) == 0
+    est = heralded_autocorrelation(tally, mode)
+    assert math.isnan(est.value) == empty
+    assert math.isnan(est.stderr) == empty
 
 
 @settings(max_examples=30, deadline=None)

@@ -145,13 +145,34 @@ def test_cli_defaults_without_config(tmp_path):
     assert (tmp_path / "repeater-rate.csv").exists()
 
 
-def test_console_script(tmp_path):
-    # The child imports the package under test, however pytest found it.
+def child_env():
+    """Environment in which a child process imports the package under test,
+    however pytest found it."""
     src = str(Path(muxmem.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "MUXMEM_THREADS": "1", "PYTHONPATH": path}
+
+
+def test_console_script(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "muxmem.cli", "repeater-rate", "--out", str(tmp_path)],
-        capture_output=True, text=True,
-        env={**os.environ, "MUXMEM_THREADS": "1", "PYTHONPATH": path})
+        capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
     assert (tmp_path / "repeater-rate_summary.json").exists()
+
+
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
+
+
+@pytest.mark.parametrize("demo", ["cavity_design.py", "photon_statistics_tour.py",
+                                  "protocol_monte_carlo.py", "repeater_budget.py"])
+def test_demo_runs(demo, tmp_path):
+    """Each demo runs to completion and prints its tables.
+
+    ``gradient_echo.py`` is left out: it computes full echo profiles and
+    takes about 11 s, too long for the tier-1 suite.
+    """
+    proc = subprocess.run([sys.executable, str(DEMOS / demo)], cwd=tmp_path,
+                          capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()
