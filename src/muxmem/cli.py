@@ -18,7 +18,6 @@ from dataclasses import replace
 
 from .config import SCENARIOS, ConfigError, parse_config
 from .ensemble import NoRephasingError
-from .protocol import _worker_count
 from .scenarios import emit_csv, emit_json, run_scenario
 
 
@@ -41,7 +40,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        _worker_count(None)  # a bad MUXMEM_THREADS fails every scenario alike
         if args.config is not None:
             try:
                 with open(args.config) as fh:
@@ -74,10 +72,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"muxmem: config error: {exc}", file=sys.stderr)
         return 2
-    except NoRephasingError as exc:
-        print(f"muxmem: model error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
+    except (NoRephasingError, ValueError) as exc:
         print(f"muxmem: model error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

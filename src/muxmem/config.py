@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 from .cavity import CavityParams, PulseSpec
 from .ensemble import K_SW_DEFAULT, ZEEMAN_COEFF_DEFAULT
-from .model import MemoryParams
+from .model import DECAY_SHAPES, MemoryParams
 from .repeater import LinkParams
 
 
@@ -146,8 +146,7 @@ BLOCK_SPECS = {
         "xi_eg": ("xi_eg", lambda p, v: _num(p, v, 0, 1, "dimensionless")),
         "n_modes": ("n_modes", lambda p, v: _int(p, v, 1)),
         "tau_mem_s": ("tau_mem", lambda p, v: _num(p, v, 1e-12, None, "seconds")),
-        "decay_shape": ("decay_shape",
-                        lambda p, v: _choice(p, v, ("exponential", "gaussian"))),
+        "decay_shape": ("decay_shape", lambda p, v: _choice(p, v, DECAY_SHAPES)),
     }),
     "cavity": (CavityParams, {
         "transmission": ("transmission", lambda p, v: _num(p, v, 1e-6, 0.999999, "fraction")),

@@ -24,7 +24,8 @@ import numpy as np
 #: threshold is met for any mode count.
 UNBOUNDED = math.inf
 
-_DECAY_SHAPES = ("exponential", "gaussian")
+#: Names accepted for ``MemoryParams.decay_shape``.
+DECAY_SHAPES = ("exponential", "gaussian")
 
 
 @dataclass(frozen=True)
@@ -77,9 +78,9 @@ class MemoryParams:
             raise ValueError(f"n_modes must be a positive integer, got {self.n_modes}")
         if not self.tau_mem > 0.0:
             raise ValueError(f"tau_mem must be positive, got {self.tau_mem}")
-        if self.decay_shape not in _DECAY_SHAPES:
+        if self.decay_shape not in DECAY_SHAPES:
             raise ValueError(
-                f"decay_shape must be one of {_DECAY_SHAPES}, got {self.decay_shape!r}"
+                f"decay_shape must be one of {DECAY_SHAPES}, got {self.decay_shape!r}"
             )
 
     def p_int(self, storage_time):

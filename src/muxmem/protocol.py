@@ -14,23 +14,17 @@ Trials are partitioned into fixed-size blocks, each driven by its own
 counter-derived Philox stream.  A block is tallied in one vectorized pass:
 the write clicks are listed once, and every count is an ``np.bincount`` by
 read mode, or by (herald mode, read mode) cell, over the block's reading
-trials and clicks.  Block counts are integers added into the running tally
-in place, so results are byte-identical for any worker count.  The default
-is one worker; ``n_workers`` or the ``MUXMEM_THREADS`` environment variable
-(an integer >= 1, else a :class:`~muxmem.config.ConfigError`) sets the size
-of a thread pool that tallies blocks concurrently.
+trials and clicks.  Blocks run one after another, in block order, and
+their integer counts are added into a single running tally in place.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import ConfigError
 from .ensemble import AtomEnsemble, FieldTimeline, collective_efficiency, rephasing_time
 from .model import MemoryParams
 
@@ -142,24 +136,6 @@ class CountsTally:
         return cls(0, m, vec(), vec(), mat(), mat(), mat(), vec(), vec(), mat(),
                    vec(), vec(), vec(), vec())
 
-    def accumulate(self, other: "CountsTally") -> "CountsTally":
-        """Add ``other`` into this tally in place and return this tally."""
-        if self.n_modes != other.n_modes:
-            raise ValueError("cannot merge tallies with different mode counts")
-        self.n_trials += other.n_trials
-        for name in _COUNT_FIELDS:
-            getattr(self, name)[...] += getattr(other, name)
-        return self
-
-    def merge(self, other: "CountsTally") -> "CountsTally":
-        """New tally holding the sum of this tally and ``other``."""
-        return CountsTally.zeros(self.n_modes).accumulate(self).accumulate(other)
-
-
-#: The integer count arrays of a :class:`CountsTally`, in field order.
-_COUNT_FIELDS = tuple(f.name for f in fields(CountsTally)
-                      if f.name not in ("n_trials", "n_modes"))
-
 
 @dataclass(frozen=True)
 class Estimate:
@@ -170,24 +146,6 @@ class Estimate:
 
     def __bool__(self):
         return not math.isnan(self.value)
-
-
-def _worker_count(n_workers) -> int:
-    if n_workers is not None:
-        workers = int(n_workers)
-        if workers < 1:
-            raise ValueError(f"n_workers must be >= 1, got {n_workers!r}")
-        return workers
-    env = os.environ.get("MUXMEM_THREADS")
-    if not env:
-        return 1
-    try:
-        workers = int(env)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ConfigError(f"MUXMEM_THREADS: expected an integer >= 1, got {env!r}")
-    return workers
 
 
 def _block_rng(seed: int, block_index: int) -> np.random.Generator:
@@ -202,9 +160,8 @@ def run_trials(
     seed: int,
     readout=FEED_FORWARD,
     retrieval_scale=None,
-    n_workers=None,
 ) -> CountsTally:
-    """Simulate ``n_trials`` write/read trials and return the merged tally.
+    """Simulate ``n_trials`` write/read trials and return their tally.
 
     ``readout`` is :data:`FEED_FORWARD` (read the first heralded mode;
     odd-indexed trials instead run a fixed-mode pass cycling through the modes
@@ -213,7 +170,7 @@ def run_trials(
     mode index for fixed-mode readout of every trial.  ``retrieval_scale``
     optionally multiplies the decayed intrinsic retrieval per mode, for
     coupling in externally computed rephasing deficits.  Deterministic for
-    fixed (seed, n_trials) regardless of ``n_workers``.
+    fixed (seed, n_trials).
     """
     m = mem.n_modes
     if schedule.n_modes != m:
@@ -250,7 +207,7 @@ def run_trials(
         c = np.bincount(keys, weights, minlength=n)
         return c if weights is None else c.astype(np.int64)
 
-    def run_block(b: int, tally: CountsTally) -> CountsTally:
+    def run_block(b: int, tally: CountsTally) -> None:
         """Draw block ``b`` and add its counts into ``tally`` in place."""
         start = b * BLOCK_SIZE
         size = min(BLOCK_SIZE, n_trials - start)
@@ -324,18 +281,10 @@ def run_trials(
         tally.split_a += count(hr[arm_a])
         tally.split_b += count(hr[arm_b])
         tally.split_ab += count(hr[arm_a & arm_b])
-        return tally
 
-    workers = _worker_count(n_workers)
     total = CountsTally.zeros(m)
-    if workers == 1:
-        for b in range(n_blocks):
-            run_block(b, total)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            blocks = pool.map(lambda b: run_block(b, CountsTally.zeros(m)), range(n_blocks))
-            for block_tally in blocks:
-                total.accumulate(block_tally)
+    for b in range(n_blocks):
+        run_block(b, total)
     return total
 
 
@@ -420,8 +369,11 @@ def heralded_autocorrelation(tally: CountsTally, mode=None) -> Estimate:
     Pooled over all modes unless ``mode`` selects one.  A retrieved single
     photon never fires both arms (exactly 0); pure thermal background tends
     to 2.  Zero coincidences with nonzero singles give 0 with a one-sided
-    single-count error; zero singles are undefined (NaN).
+    single-count error; zero singles are undefined (NaN).  A mode outside
+    [0, n_modes) is a ValueError.
     """
+    if mode is not None and not 0 <= mode < tally.n_modes:
+        raise ValueError(f"mode {mode} out of range for {tally.n_modes} modes")
     sl = slice(None) if mode is None else slice(mode, mode + 1)
     c = int(tally.split_ab[sl].sum())
     sa = int(tally.split_a[sl].sum())
@@ -445,7 +397,6 @@ def crosstalk_matrix(
     schedule: ModeSchedule,
     n_trials: int,
     seed: int,
-    n_workers=None,
 ):
     """g2 between every write mode and every read mode.
 
@@ -459,9 +410,7 @@ def crosstalk_matrix(
     g2 = np.full((m, m), np.nan)
     err = np.full((m, m), np.nan)
     for j in range(m):
-        tally = run_trials(
-            mem, schedule, n_trials, _child_seed(seed, j), readout=j, n_workers=n_workers
-        )
+        tally = run_trials(mem, schedule, n_trials, _child_seed(seed, j), readout=j)
         stats = estimate_statistics(tally)
         g2[:, j] = stats.g2[:, j]
         err[:, j] = stats.g2_err[:, j]

@@ -174,20 +174,9 @@ def test_criterion_06_monte_carlo_oracle():
             / tally.herald_reads[mode, mode]
         pulls.append(abs(p_rw - retrieval_given_write(mem)) / p_rw_err)
         worst = max(worst, *pulls)
-    # Worker-count independence, byte for byte.
-    mem = replace(PAPER_MEMORY, n_modes=5, tau_mem=1.0)
-    schedule = reversal_schedule(5)
-    tallies = [run_trials(mem, schedule, 200000, seed=99, n_workers=w)
-               for w in (1, 4, 16)]
-    identical = all(
-        getattr(t, name).tobytes() == getattr(tallies[0], name).tobytes()
-        for t in tallies[1:]
-        for name in ("write_counts", "coincidence_counts", "herald_reads",
-                     "unconditional_read_counts", "split_ab"))
-    ok = worst < 3.0 and identical
+    ok = worst < 3.0
     report("06 MC vs analytic", ok,
-           f"worst pull over 10 sets x (g2, p_w, p_r|w) = {worst:.2f} sigma "
-           f"(< 3), workers identical={identical}")
+           f"worst pull over 10 sets x (g2, p_w, p_r|w) = {worst:.2f} sigma (< 3)")
 
 
 def test_criterion_07_rephasing_engine():

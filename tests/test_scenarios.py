@@ -32,11 +32,6 @@ def golden_config(scenario):
     return str(GOLDEN / f"{scenario}_config.json")
 
 
-@pytest.fixture(autouse=True)
-def _single_thread(monkeypatch):
-    monkeypatch.delenv("MUXMEM_THREADS", raising=False)
-
-
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_column_schema_pinned(scenario):
     cfg = parse_config(Path(golden_config(scenario)).read_text())
@@ -105,18 +100,6 @@ def test_cli_config_error_exit_2(tmp_path, capsys):
     assert "memory.bogus" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "value, scenario",
-    [("abc", "protocol-run"), ("0", "protocol-run"), ("abc", "repeater-rate")],
-    ids=["abc", "0", "abc-repeater-rate"])
-def test_cli_bad_thread_count_exit_2(tmp_path, capsys, monkeypatch, value, scenario):
-    monkeypatch.setenv("MUXMEM_THREADS", value)
-    assert main([scenario, "--trials", "1000", "--out", str(tmp_path)]) == 2
-    err = capsys.readouterr().err
-    assert "config error" in err
-    assert f"MUXMEM_THREADS: expected an integer >= 1, got {value!r}" in err
-
-
 def test_cli_scenario_mismatch_exit_2(tmp_path):
     assert main(["echo", "--config", golden_config("crosstalk"),
                  "--out", str(tmp_path)]) == 2
@@ -150,7 +133,7 @@ def child_env():
     however pytest found it."""
     src = str(Path(muxmem.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return {**os.environ, "MUXMEM_THREADS": "1", "PYTHONPATH": path}
+    return {**os.environ, "PYTHONPATH": path}
 
 
 def test_console_script(tmp_path):
