@@ -48,13 +48,10 @@ from .ensemble import (
     AtomEnsemble,
     FieldTimeline,
     NoRephasingError,
-    PhaseState,
-    accumulate_phase,
     collective_efficiency,
     echo_profile,
     rephasing_time,
     sample_ensemble,
-    zeeman_detuning,
 )
 from .protocol import (
     CYCLE,

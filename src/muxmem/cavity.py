@@ -88,23 +88,18 @@ def rate_gain(cav: CavityParams) -> float:
     return enhancement_factor(cav) * escape_efficiency(cav)
 
 
-def optimal_outcoupler(
-    loss: float, t_min: float = 1e-4, t_max: float = 0.9999
-) -> tuple[float, float]:
+def optimal_outcoupler(loss: float) -> tuple[float, float]:
     """Outcoupler transmission maximizing :func:`rate_gain` at fixed loss.
 
-    Returns (T_opt, gain_max).  The search window may be narrowed through
-    ``t_min`` / ``t_max``.
+    Returns (T_opt, gain_max), searched over 1e-4 <= T <= 0.9999.
     """
     if not 0.0 < loss < 1.0:
         raise ValueError(f"loss must lie in (0, 1), got {loss}")
-    if not 0.0 < t_min < t_max < 1.0:
-        raise ValueError("need 0 < t_min < t_max < 1")
 
     def neg_gain(t: float) -> float:
         return -rate_gain(CavityParams(t, loss))
 
-    res = minimize_scalar(neg_gain, bounds=(t_min, t_max), method="bounded",
+    res = minimize_scalar(neg_gain, bounds=(1e-4, 0.9999), method="bounded",
                           options={"xatol": 1e-10})
     return float(res.x), float(-res.fun)
 

@@ -17,7 +17,7 @@ and the Zeeman coefficient in Hz per gauss.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.constants import k as _KB, physical_constants
@@ -91,11 +91,6 @@ def sample_ensemble(
     return AtomEnsemble(z, v, k_sw=k_sw, zeeman_coeff=zeeman_coeff)
 
 
-def zeeman_detuning(ens: AtomEnsemble, field: float) -> float:
-    """Two-photon detuning (rad/s) of the storage transition in a field (gauss)."""
-    return 2.0 * math.pi * ens.zeeman_coeff * field
-
-
 @dataclass(frozen=True)
 class FieldTimeline:
     """Piecewise-constant gradient program with a uniform bias and a slow drift.
@@ -150,15 +145,6 @@ class FieldTimeline:
         return out
 
 
-@dataclass(frozen=True)
-class PhaseState:
-    """Per-atom accumulated phases (rad) at ``time`` for a mode written at ``write_time``."""
-
-    phases: np.ndarray
-    time: float
-    write_time: float
-
-
 def _phase_coefficients(timeline: FieldTimeline, write_time: float, times: np.ndarray):
     """Position and velocity gradient-phase coefficients for each readout time.
 
@@ -191,41 +177,23 @@ def _phase_coefficients(timeline: FieldTimeline, write_time: float, times: np.nd
     return scale * p_int, scale * q_int
 
 
-def accumulate_phase(
-    ens: AtomEnsemble, timeline: FieldTimeline, write_time: float, time: float
-) -> PhaseState:
-    """Per-atom phase at ``time`` for a spin wave written at ``write_time``.
-
-        phi_j = k_sw v_j (t - t_w)
-              + 2 pi zc [bias (t - t_w) + integral A(t')(1 + d t') z_j(t') dt']
-
-    with the atom coasting from its write-time position,
-    z_j(t') = z_j + v_j (t' - t_w).
-    """
-    if time < write_time:
-        raise ValueError("time must be >= write_time")
-    t = np.array([time], dtype=float)
-    a, q = _phase_coefficients(timeline, write_time, t)
-    zc = ens.zeeman_coeff
-    dt = time - write_time
-    phases = (
-        ens.k_sw * ens.velocities * dt
-        + zc * (a[0] * ens.positions + q[0] * ens.velocities)
-        + 2.0 * math.pi * zc * timeline.bias * dt
-    )
-    return PhaseState(phases, time, write_time)
-
-
 def collective_efficiency(
     ens: AtomEnsemble, timeline: FieldTimeline, write_time: float,
     time: float, p_int0: float = 1.0,
 ) -> float:
     """Retrieval efficiency p_int0 * |mean_j exp(i phi_j)|^2 at ``time``.
 
-    The spatially uniform bias only adds a global phase and drops out.
+        phi_j = k_sw v_j (t - t_w)
+              + 2 pi zc [bias (t - t_w) + integral A(t')(1 + d t') z_j(t') dt']
+
+    with the atom coasting from its write-time position,
+    z_j(t') = z_j + v_j (t' - t_w).  One time point of the echo kernel
+    ``_efficiency_curve``; the spatially uniform bias only adds a global
+    phase and drops out.
     """
-    state = accumulate_phase(ens, timeline, write_time, time)
-    return p_int0 * float(np.abs(np.exp(1j * state.phases).mean()) ** 2)
+    if time < write_time:
+        raise ValueError("time must be >= write_time")
+    return float(_efficiency_curve(ens, timeline, write_time, [time], p_int0)[0])
 
 
 #: Atoms per tile of the echo kernel; with up to ``TIME_TILE`` times, a
@@ -291,15 +259,11 @@ def _efficiency_curve(ens, timeline, write_time, times, p_int0):
     return p_int0 * out
 
 
-def _gradient_integral(timeline: FieldTimeline, write_time: float, t: float) -> float:
-    """Position-proportional phase integral I(t) = int_tw^t A(t')(1 + d t') dt'."""
-    a, _ = _phase_coefficients(timeline, write_time, np.array([t], dtype=float))
-    return float(a[0])
+#: Window after the write (s) in which :func:`rephasing_time` seeks the echo.
+REPHASING_HORIZON = 0.01
 
 
-def rephasing_time(
-    timeline: FieldTimeline, write_time: float, horizon: float = 0.01
-) -> float:
+def rephasing_time(timeline: FieldTimeline, write_time: float) -> float:
     """Earliest time after ``write_time`` where the gradient phase integral crosses zero.
 
     Solved segment by segment: within a segment the integral is linear (or
@@ -307,10 +271,12 @@ def rephasing_time(
     sign changes at segment boundaries and at the interior extremum where the
     drifting gradient itself changes sign; the root is then polished with
     ``brentq`` to 1 ns absolute tolerance.  Raises :class:`NoRephasingError`
-    when no crossing exists before ``write_time + horizon``.
+    when no crossing exists before ``write_time + REPHASING_HORIZON``.
     """
-    t_end = write_time + horizon
-    f = lambda t: _gradient_integral(timeline, write_time, t)
+    t_end = write_time + REPHASING_HORIZON
+    def f(t):
+        """Position-proportional phase integral I(t) = int_tw^t A(t')(1 + d t') dt'."""
+        return float(_phase_coefficients(timeline, write_time, np.array([t], dtype=float))[0][0])
     knots = [write_time]
     for start, end, _ in timeline._bounds():
         if write_time < start < t_end:
@@ -336,7 +302,7 @@ def rephasing_time(
                 return b
             return brentq(f, a, b, xtol=1e-9)
     raise NoRephasingError(
-        f"phase integral does not return to zero within {horizon:g} s of the write"
+        f"phase integral does not return to zero within {REPHASING_HORIZON:g} s of the write"
     )
 
 

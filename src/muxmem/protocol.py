@@ -72,7 +72,6 @@ def build_schedule(
     mode_spacing: float,
     write_duration: float,
     timeline: FieldTimeline,
-    horizon: float = 0.01,
 ) -> ModeSchedule:
     """Schedule a train of modes against a gradient timeline.
 
@@ -84,9 +83,7 @@ def build_schedule(
     alone.
     """
     write_times = np.arange(n_modes) * mode_spacing
-    readout_times = np.array(
-        [rephasing_time(timeline, float(tw), horizon=horizon) for tw in write_times]
-    )
+    readout_times = np.array([rephasing_time(timeline, float(tw)) for tw in write_times])
     final_step = timeline.segments[-1][0]
     if np.any(readout_times <= final_step):
         raise ValueError(

@@ -15,12 +15,10 @@ from muxmem.ensemble import (
     AtomEnsemble,
     FieldTimeline,
     NoRephasingError,
-    accumulate_phase,
     collective_efficiency,
     echo_profile,
     rephasing_time,
     sample_ensemble,
-    zeeman_detuning,
     _efficiency_curve,
     _phase_coefficients,
 )
@@ -29,54 +27,47 @@ from muxmem.cavity import PulseSpec
 SIGMA_Z = 1e-3
 
 
-def single_atom(z, v=0.0):
-    return AtomEnsemble(np.array([z]), np.array([v]))
+def two_atoms(z, v=0.0):
+    """An atom at (z, v) and a reference atom at rest at z = 0."""
+    return AtomEnsemble(np.array([z, 0.0]), np.array([v, 0.0]))
 
 
 def test_phase_single_atom_constant_gradient():
     # 1 G/cm at z = 1 cm is a 1 G offset: 1.4 MHz of two-photon detuning,
-    # so one microsecond winds up 2.8 pi radians.
-    ens = single_atom(0.01)
+    # so one microsecond winds up 2.8 pi radians against the atom at z = 0.
+    # Two phasors d_phi apart give an efficiency of cos^2(d_phi / 2).
+    ens = two_atoms(0.01)
     timeline = FieldTimeline(((0.0, 1.0),))
-    state = accumulate_phase(ens, timeline, 0.0, 1e-6)
-    assert state.phases[0] == pytest.approx(2.8 * math.pi, rel=1e-12)
+    eff = collective_efficiency(ens, timeline, 0.0, 1e-6)
+    assert eff == pytest.approx(math.cos(1.4 * math.pi) ** 2, rel=1e-12)
 
 
 def test_phase_zero_at_write_time():
-    ens = single_atom(0.003, v=2.0)
+    ens = two_atoms(0.003, v=2.0)
     timeline = FieldTimeline(((0.0, 1.5),), bias=0.2)
-    state = accumulate_phase(ens, timeline, 5e-7, 5e-7)
-    np.testing.assert_allclose(state.phases, 0.0)
+    assert collective_efficiency(ens, timeline, 5e-7, 5e-7) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_phase_zero_without_fields_or_motion():
     ens = AtomEnsemble(np.array([0.001, -0.002]), np.zeros(2))
     timeline = FieldTimeline(((0.0, 0.0),))
     for t in (1e-7, 3e-6, 1e-4):
-        state = accumulate_phase(ens, timeline, 0.0, t)
-        np.testing.assert_allclose(state.phases, 0.0)
+        assert collective_efficiency(ens, timeline, 0.0, t) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_phase_rejects_time_before_write():
-    ens = single_atom(0.01)
+    ens = two_atoms(0.01)
     timeline = FieldTimeline(((0.0, 1.0),))
     with pytest.raises(ValueError):
-        accumulate_phase(ens, timeline, 1e-6, 0.5e-6)
+        collective_efficiency(ens, timeline, 1e-6, 0.5e-6)
 
 
 def test_motional_phase_term():
-    # Zero field: phase is k_sw * v * (t - t_w) exactly.
-    ens = single_atom(0.0, v=0.05)
+    # Zero field: the moving atom's phase is k_sw * v * (t - t_w) exactly.
+    ens = two_atoms(0.0, v=0.05)
     timeline = FieldTimeline(((0.0, 0.0),))
-    state = accumulate_phase(ens, timeline, 1e-6, 3e-6)
-    assert state.phases[0] == pytest.approx(K_SW_DEFAULT * 0.05 * 2e-6, rel=1e-12)
-
-
-def test_zeeman_detuning():
-    ens = single_atom(0.0)
-    assert zeeman_detuning(ens, 1.0) == pytest.approx(2 * math.pi * 1.4e6, rel=1e-12)
-    assert zeeman_detuning(ens, 0.0) == 0.0
-    assert zeeman_detuning(ens, -1.0) == pytest.approx(-zeeman_detuning(ens, 1.0))
+    eff = collective_efficiency(ens, timeline, 1e-6, 3e-6)
+    assert eff == pytest.approx(math.cos(K_SW_DEFAULT * 0.05 * 2e-6 / 2) ** 2, rel=1e-12)
 
 
 def test_sample_ensemble_basics():
