@@ -2,12 +2,21 @@
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.constants import k as KB
 
+import muxmem
+from muxmem import ensemble
 from muxmem.ensemble import (
+    ATOM_MASS,
     ATOM_TILE,
     K_SW_DEFAULT,
     TIME_TILE,
@@ -259,14 +268,107 @@ def test_ensemble_validation():
 ECHO_PROFILE_DIGEST = "0d2784580e0daaf3efdecab5e9d91b310cc16c82916e88a632a2e95c2816713e"
 
 
-def test_echo_profile_bytes_pinned():
+def pinned_echo_digest():
+    """SHA-256 of the echo profiles that ``ECHO_PROFILE_DIGEST`` pins."""
     ens = sample_ensemble(2000, SIGMA_Z, 40e-6, seed=11)
     timeline = FieldTimeline.reversal(2.0, 2e-6, drift_rate=2000.0)
     times = np.linspace(3.0e-6, 5.0e-6, 600)
     digest = hashlib.sha256()
     for fwhm in (133e-9, 532e-9):
         digest.update(echo_profile(ens, timeline, 0.0, PulseSpec(fwhm), 0.4, times).tobytes())
-    assert digest.hexdigest() == ECHO_PROFILE_DIGEST
+    return digest.hexdigest()
+
+
+def test_echo_profile_bytes_pinned():
+    assert pinned_echo_digest() == ECHO_PROFILE_DIGEST
+
+
+# The child pins itself to one CPU (only its own process), so echo_profile
+# sizes its pool to one worker there, then prints the pinned digest.
+ONE_CPU_CHILD = """
+import os, sys
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+sys.path.insert(0, sys.argv[1])
+from test_ensemble import pinned_echo_digest
+print(len(os.sched_getaffinity(0)), pinned_echo_digest())
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="os.sched_setaffinity is not available")
+def test_echo_profile_same_bits_on_one_cpu():
+    src = str(Path(muxmem.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", ONE_CPU_CHILD, str(Path(__file__).parent)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", ECHO_PROFILE_DIGEST]
+
+
+def serial_echo_reference(ens, timeline, write_time, pulse, p_int0, times, nodes):
+    """The echo profile's efficiency column as one loop over the nodes, in order."""
+    sigma_t = pulse.duration_fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
+    x, w = np.polynomial.hermite.hermgauss(nodes)
+    w = w / w.sum()
+    eff = np.zeros_like(times)
+    for xk, wk in zip(x, w):
+        t_created = write_time + math.sqrt(2.0) * sigma_t * xk
+        eff += wk * _efficiency_curve(ens, timeline, t_created, times, p_int0)
+    return eff
+
+
+@settings(max_examples=30, deadline=None)
+@given(nodes=st.integers(3, 40),
+       cpus=st.sampled_from([1, 2, 3, 16]),
+       n_atoms=st.sampled_from([1, ATOM_TILE, ATOM_TILE + 1]),
+       n_times=st.sampled_from([1, TIME_TILE + 1]),
+       temperature=st.sampled_from([0.0, 40e-6]),
+       fwhm=st.floats(1e-9, 1.2e-6),
+       seed=st.integers(0, 2**32 - 1))
+def test_threaded_echo_profile_equals_serial_node_sum(nodes, cpus, n_atoms, n_times,
+                                                      temperature, fwhm, seed):
+    # ``cpus`` stands in for the usable CPU count, so the pool also runs with
+    # one worker and with more CPUs than nodes on any machine.
+    ens = sample_ensemble(n_atoms, SIGMA_Z, temperature, seed=seed)
+    timeline = FieldTimeline.reversal(2.0, 2e-6, drift_rate=2000.0)
+    times = np.linspace(2.5e-6, 5.5e-6, n_times)
+    pulse = PulseSpec(fwhm)
+    with mock.patch.object(ensemble, "_usable_cpus", lambda: cpus):
+        got = echo_profile(ens, timeline, 0.0, pulse, 0.4, times, nodes=nodes)
+    want = serial_echo_reference(ens, timeline, 0.0, pulse, 0.4, times, nodes)
+    np.testing.assert_array_equal(got[:, 0], times)
+    np.testing.assert_array_equal(got[:, 1].view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("gradient, reverse_time, time_span, write_times", [
+    # the default echo timeline: gradient dephasing dominates
+    (2.0, 2e-6, (2.5e-6, 5.5e-6), (-4e-7, 0.0, 4e-7)),
+    # a weak, late reversal: motion removes up to 0.69 of the efficiency
+    (0.01, 30e-6, (10e-6, 80e-6), (0.0, 5e-6, 10e-6)),
+])
+def test_moving_atoms_follow_gaussian_closed_form(gradient, reverse_time, time_span,
+                                                  write_times):
+    # The phase is linear in the write-time position and velocity,
+    # phi = zc a z + b v with b = k_sw (t - t_w) + zc q, so for Gaussian
+    # positions and Maxwell velocities |<exp(i phi)>|^2 is
+    # exp(-sigma_z^2 (zc a)^2 - sigma_v^2 b^2).  The sampled mean deviates
+    # from it by phasor noise of order 1/sqrt(N): over 20 seeds the largest
+    # sqrt(N) |sampled - closed| was 0.93 and 1.26 on these timelines.
+    n = 10000
+    temperature = 40e-6
+    sigma_v = math.sqrt(KB * temperature / ATOM_MASS)
+    timeline = FieldTimeline.reversal(gradient, reverse_time)
+    times = np.linspace(*time_span, 181)
+    for seed in (1, 2, 3):
+        ens = sample_ensemble(n, SIGMA_Z, temperature, seed=seed)
+        for write_time in write_times:
+            a, q = _phase_coefficients(timeline, write_time, times)
+            zc = ens.zeeman_coeff
+            b = ens.k_sw * (times - write_time) + zc * q
+            closed = np.exp(-(SIGMA_Z * zc * a) ** 2 - (sigma_v * b) ** 2)
+            sampled = _efficiency_curve(ens, timeline, write_time, times, 1.0)
+            assert np.abs(sampled - closed).max() < 3.0 / math.sqrt(n)
 
 
 def untiled_efficiency_curve(ens, timeline, write_time, times, p_int0, chunk=512):

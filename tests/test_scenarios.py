@@ -153,7 +153,7 @@ def test_demo_runs(demo, tmp_path):
     """Each demo runs to completion and prints its tables.
 
     ``gradient_echo.py`` is left out: it computes full echo profiles and
-    takes about 11 s, too long for the tier-1 suite.
+    takes about 6 s on two CPUs, too long for the tier-1 suite.
     """
     proc = subprocess.run([sys.executable, str(DEMOS / demo)], cwd=tmp_path,
                           capture_output=True, text=True, env=child_env())
