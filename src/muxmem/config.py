@@ -30,19 +30,6 @@ class ConfigError(ValueError):
     """Invalid configuration; the message names the offending field."""
 
 
-SCENARIOS = (
-    "mode-sweep",
-    "max-modes",
-    "cavity-design",
-    "pulse-enhancement",
-    "echo",
-    "protocol-run",
-    "crosstalk",
-    "storage-decay",
-    "repeater-rate",
-)
-
-
 @dataclass(frozen=True)
 class EnsembleConfig:
     n_atoms: int = 10000
@@ -75,9 +62,8 @@ class ScenarioConfig:
     n_trials: int = 100000
     output_path: str = "."
     memory: MemoryParams = field(default_factory=lambda: MemoryParams(
-        p=0.045, eta_w=0.3, eta_r=0.25, p_int0=0.4, beta_ratio=14.0,
-        xi_eg=1.0, n_modes=10, tau_mem=72e-6, decay_shape="exponential"))
-    cavity: CavityParams = field(default_factory=lambda: CavityParams(0.14, 0.11, 0.877))
+        p=0.045, eta_w=0.3, eta_r=0.25, p_int0=0.4, beta_ratio=14.0, n_modes=10))
+    cavity: CavityParams = field(default_factory=lambda: CavityParams(0.14, 0.11))
     pulse: PulseSpec = field(default_factory=lambda: PulseSpec(266e-9))
     ensemble: EnsembleConfig = field(default_factory=EnsembleConfig)
     schedule: ScheduleConfig = field(default_factory=ScheduleConfig)
@@ -190,7 +176,7 @@ BLOCK_SPECS = {
     }),
 }
 
-# Scenario-specific options: {key: (default, parser)}.
+# Scenario-specific options: {scenario: {key: (default, parser)}}, in CLI order.
 OPTION_SPECS = {
     "mode-sweep": {
         "beta_values": ([1.0, 11.0, 21.0, 31.0, 41.0, 51.0, 61.0, 71.0, 81.0],
@@ -237,6 +223,8 @@ OPTION_SPECS = {
         "n_modes_values": (list(range(1, 11)), lambda p, v: _int_list(p, v, lo=1)),
     },
 }
+
+SCENARIOS = tuple(OPTION_SPECS)
 
 _RUN_KEYS = ("scenario", "rng_seed", "n_trials", "output_path")
 _TOP_KEYS = (*_RUN_KEYS, *BLOCK_SPECS, "options")
@@ -301,6 +289,8 @@ def parse_config(text: str, scenario: str | None = None) -> ScenarioConfig:
                 "schedule.freeze_time_s / release_time_s: required for the "
                 "freeze_release policy (seconds)"
             )
+        if not schedule.freeze_time > 0.0:
+            raise ConfigError("schedule.freeze_time_s: must be > 0 (seconds)")
         if not schedule.freeze_time < schedule.release_time:
             raise ConfigError("schedule.freeze_time_s: must be before release_time_s")
 

@@ -119,24 +119,21 @@ class FieldTimeline:
         object.__setattr__(self, "segments", segs)
 
     @classmethod
-    def reversal(cls, gradient: float, reverse_time: float,
-                 start_time: float = 0.0, bias: float = 0.0,
+    def reversal(cls, gradient: float, reverse_time: float, bias: float = 0.0,
                  drift_rate: float = 0.0) -> "FieldTimeline":
-        """+gradient from start_time, -gradient from reverse_time on."""
-        if reverse_time <= start_time:
-            raise ValueError("reverse_time must follow start_time")
-        return cls(((start_time, gradient), (reverse_time, -gradient)),
-                   bias=bias, drift_rate=drift_rate)
+        """+gradient from time 0, -gradient from reverse_time on."""
+        if reverse_time <= 0.0:
+            raise ValueError("reverse_time must be > 0")
+        return cls(((0.0, gradient), (reverse_time, -gradient)), bias, drift_rate)
 
     @classmethod
     def freeze_release(cls, gradient: float, freeze_time: float, release_time: float,
-                       start_time: float = 0.0, bias: float = 0.0,
-                       drift_rate: float = 0.0) -> "FieldTimeline":
-        """+gradient, then zero between freeze and release, then -gradient."""
-        if not start_time < freeze_time < release_time:
-            raise ValueError("need start_time < freeze_time < release_time")
-        return cls(((start_time, gradient), (freeze_time, 0.0), (release_time, -gradient)),
-                   bias=bias, drift_rate=drift_rate)
+                       bias: float = 0.0, drift_rate: float = 0.0) -> "FieldTimeline":
+        """+gradient from time 0, zero between freeze and release, then -gradient."""
+        if not 0.0 < freeze_time < release_time:
+            raise ValueError("need 0 < freeze_time < release_time")
+        return cls(((0.0, gradient), (freeze_time, 0.0), (release_time, -gradient)),
+                   bias, drift_rate)
 
     def _bounds(self):
         """Per-segment (start, end, gradient) with the last end at +inf."""

@@ -16,7 +16,7 @@ photon numbers well under one).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -206,7 +206,8 @@ def max_modes(params: MemoryParams, threshold: float) -> float | int:
 
     Returns the largest integer satisfying the strict inequality, 0 if even a
     single mode fails, or :data:`UNBOUNDED` when the background coefficient
-    vanishes and the single-mode correlation clears the threshold.
+    vanishes and the single-mode correlation clears the threshold.  Raises
+    ValueError where :func:`cross_correlation` does (p_int0 = 0 with xi_eg = 0).
     """
     if threshold <= 1.0:
         raise ValueError("threshold must exceed 1 (the classical floor)")
@@ -214,11 +215,7 @@ def max_modes(params: MemoryParams, threshold: float) -> float | int:
         raise ValueError("max_modes is undefined at p = 0")
 
     def g2_at(n: int) -> float:
-        pi = params.p_int0
-        denom = params.p * (pi + (n - pi) * params.xi_eg / params.beta_ratio)
-        if denom == 0.0:
-            return math.inf
-        return 1.0 + pi * (1.0 - params.p) / denom
+        return cross_correlation(replace(params, n_modes=n))
 
     coeff = params.xi_eg / params.beta_ratio  # 0 when xi_eg = 0 or beta_ratio = inf
     if coeff == 0.0:
@@ -226,7 +223,7 @@ def max_modes(params: MemoryParams, threshold: float) -> float | int:
     pi = params.p_int0
     bound = pi + (pi * (1.0 - params.p) / (params.p * (threshold - 1.0)) - pi) / coeff
     n = max(int(math.floor(bound)), 0)
-    # Absorb floating-point edge cases by checking the exact formula locally.
+    # Absorb floating-point edge cases with the exact cross correlation.
     while n >= 1 and not g2_at(n) > threshold:
         n -= 1
     while g2_at(n + 1) > threshold:

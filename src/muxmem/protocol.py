@@ -47,16 +47,12 @@ class ModeSchedule:
     """
 
     n_modes: int
-    mode_spacing: float
-    write_duration: float
     write_times: np.ndarray
     readout_times: np.ndarray
 
     def __post_init__(self):
         if self.n_modes < 1:
             raise ValueError("n_modes must be >= 1")
-        if not 0.0 < self.write_duration < self.mode_spacing:
-            raise ValueError("need 0 < write_duration < mode_spacing")
         if len(self.write_times) != self.n_modes or len(self.readout_times) != self.n_modes:
             raise ValueError("write_times and readout_times must have n_modes entries")
         if np.any(self.readout_times <= self.write_times):
@@ -80,8 +76,10 @@ def build_schedule(
     final gradient step (the reversal, or the release for a freeze program);
     with a reversal right after the last mode this makes the readout order
     the reverse of the write order.  Readout timing comes from the timeline
-    alone.
+    alone; ``write_duration`` must lie in (0, mode_spacing) so writes do not overlap.
     """
+    if not 0.0 < write_duration < mode_spacing:
+        raise ValueError("need 0 < write_duration < mode_spacing")
     write_times = np.arange(n_modes) * mode_spacing
     readout_times = np.array([rephasing_time(timeline, float(tw)) for tw in write_times])
     final_step = timeline.segments[-1][0]
@@ -89,13 +87,7 @@ def build_schedule(
         raise ValueError(
             "schedule is inconsistent: a readout falls before the final gradient step"
         )
-    return ModeSchedule(
-        n_modes=n_modes,
-        mode_spacing=mode_spacing,
-        write_duration=write_duration,
-        write_times=write_times,
-        readout_times=readout_times,
-    )
+    return ModeSchedule(n_modes, write_times, readout_times)
 
 
 @dataclass
@@ -292,9 +284,7 @@ class TallyStatistics:
     p_w: np.ndarray
     p_w_err: np.ndarray
     p_r: np.ndarray
-    p_r_err: np.ndarray
     p_wr: np.ndarray
-    p_wr_err: np.ndarray
     g2: np.ndarray
     g2_err: np.ndarray
 
@@ -310,7 +300,7 @@ def _ratio_err(k, n):
 
 
 def estimate_statistics(tally: CountsTally) -> TallyStatistics:
-    """Estimate p_w, p_r, p_wr, and g2 per mode (pair) with standard errors.
+    """Estimate p_w, p_r, p_wr, and g2 per mode (pair); p_w and g2 with standard errors.
 
     g2(i, j) is computed as p(r|w) / p_r, algebraically identical to
     p_wr / (p_w p_r) but unbiased when reads are herald-conditioned
@@ -327,19 +317,9 @@ def estimate_statistics(tally: CountsTally) -> TallyStatistics:
 
         n_ur = tally.n_uncond_reads.astype(float)
         p_r = np.where(n_ur > 0, tally.unconditional_read_counts / np.maximum(n_ur, 1), np.nan)
-        p_r_err = np.where(
-            n_ur > 0,
-            np.sqrt(np.maximum(tally.unconditional_read_counts, 1)) / np.maximum(n_ur, 1),
-            np.nan,
-        )
 
         nu = tally.n_uncond_reads[None, :].astype(float)
         p_wr = np.where(nu > 0, tally.uncond_coincidence_counts / np.maximum(nu, 1), np.nan)
-        p_wr_err = np.where(
-            nu > 0,
-            np.sqrt(np.maximum(tally.uncond_coincidence_counts, 1)) / np.maximum(nu, 1),
-            np.nan,
-        )
 
         hr = tally.herald_reads.astype(float)
         pairs = tally.coincidence_counts.astype(float)
@@ -355,7 +335,7 @@ def estimate_statistics(tally: CountsTally) -> TallyStatistics:
         one_sided = (1.0 / np.maximum(hr, 1)) / p_r[None, :]
         g2 = np.where(zero, 0.0, g2)
         g2_err = np.where(zero, one_sided, g2_err)
-    return TallyStatistics(p_w, p_w_err, p_r, p_r_err, p_wr, p_wr_err, g2, g2_err)
+    return TallyStatistics(p_w, p_w_err, p_r, p_wr, g2, g2_err)
 
 
 def heralded_autocorrelation(tally: CountsTally, mode=None) -> Estimate:
@@ -442,7 +422,6 @@ def coincidence_scaling(
     n_trials: int,
     seed: int,
     ens=None,
-    bias: float = 0.0,
 ):
     """Per-train write and coincidence totals versus mode count.
 
@@ -453,7 +432,8 @@ def coincidence_scaling(
 
         p_w_total  = sum_m p_hat_w(m)          (write clicks per train)
         p_wr_total = sum_m p_hat_wr(m, m)      (write-read pairs per train,
-                                                each mode read in its slot)
+                                                each mode read in its slot;
+                                                a mode never read adds 0)
 
     With ``drift_rate`` nonzero the actually applied timeline drifts, so each
     mode's retrieval at its programmed time is scaled by the
@@ -471,16 +451,15 @@ def coincidence_scaling(
         n = int(n)
         mem_n = replace(mem, n_modes=n)
         t_rev = (n - 1) * mode_spacing + write_duration
-        nominal = FieldTimeline.reversal(gradient, t_rev, bias=bias)
+        nominal = FieldTimeline.reversal(gradient, t_rev)
         schedule = build_schedule(n, mode_spacing, write_duration, nominal)
         scale = None
         if drift_rate != 0.0:
-            drifted = FieldTimeline.reversal(gradient, t_rev, bias=bias, drift_rate=drift_rate)
+            drifted = FieldTimeline.reversal(gradient, t_rev, drift_rate=drift_rate)
             scale = rephasing_deficit(ens, drifted, schedule)
         tally = run_trials(mem_n, schedule, n_trials, _child_seed(seed, n),
                            readout=CYCLE, retrieval_scale=scale)
         p_w_total = tally.write_counts.sum() / tally.n_trials
-        per_mode = np.diag(tally.uncond_coincidence_counts) / tally.n_uncond_reads
-        p_wr_total = float(per_mode.sum())
+        p_wr_total = float(np.nansum(np.diag(estimate_statistics(tally).p_wr)))
         rows.append((n, p_w_total, p_wr_total))
     return np.array(rows)

@@ -192,10 +192,7 @@ def _scenario_protocol_run(cfg):
                            readout=CYCLE, retrieval_scale=scale)
         stats = estimate_statistics(tally)
         p_w_total = float(tally.write_counts.sum()) / tally.n_trials
-        with np.errstate(invalid="ignore"):
-            p_wr_total = float(np.nansum(
-                np.diag(tally.uncond_coincidence_counts)
-                / np.maximum(tally.n_uncond_reads, 1)))
+        p_wr_total = float(np.nansum(np.diag(stats.p_wr)))
         diag = np.diag(stats.g2)
         derr = np.diag(stats.g2_err)
         ok = np.isfinite(diag) & np.isfinite(derr) & (derr > 0)

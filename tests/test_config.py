@@ -126,6 +126,10 @@ def test_schedule_consistency_checks():
     with pytest.raises(ConfigError, match="freeze"):
         parse_config('{"scenario": "protocol-run", "schedule": '
                      '{"policy": "freeze_release"}}')
+    with pytest.raises(ConfigError, match=r"schedule\.freeze_time_s: must be > 0"):
+        parse_config('{"scenario": "protocol-run", "schedule": '
+                     '{"policy": "freeze_release", "freeze_time_s": 0.0, '
+                     '"release_time_s": 9e-6}}')
     cfg = parse_config('{"scenario": "protocol-run", "schedule": '
                        '{"policy": "freeze_release", "freeze_time_s": 5e-6, '
                        '"release_time_s": 9e-6}}')
@@ -188,7 +192,7 @@ def test_every_block_field_has_one_key(block):
 
 
 # One in-range value strategy per BLOCK_SPECS row.  Ranges keep the schedule
-# consistent: write_duration < mode_spacing and freeze_time < release_time.
+# consistent: write_duration < mode_spacing and 0 < freeze_time < release_time.
 unit = st.floats(0.0, 1.0)
 positive = st.floats(1e-6, 1e3)
 signed = st.floats(-1e3, 1e3)
@@ -213,7 +217,7 @@ ROW_VALUES = {
         "mode_spacing_s": st.floats(1e-6, 1e-3), "write_duration_s": st.floats(1e-9, 9e-7),
         "gradient_g_per_cm": signed, "bias_g": signed, "drift_rate_per_s": signed,
         "policy": st.sampled_from(["immediate_after_last", "freeze_release"]),
-        "freeze_time_s": st.floats(0.0, 1e-3), "release_time_s": st.floats(2e-3, 1e-2),
+        "freeze_time_s": st.floats(1e-9, 1e-3), "release_time_s": st.floats(2e-3, 1e-2),
     },
     "link": {
         "distance_m": st.floats(1e-3, 1e7), "signal_velocity_m_per_s": st.floats(1.0, 299792458.0),

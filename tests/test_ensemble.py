@@ -253,6 +253,10 @@ def test_timeline_validation():
         FieldTimeline(())
     with pytest.raises(ValueError):
         FieldTimeline.freeze_release(2.0, 3e-6, 1e-6)
+    with pytest.raises(ValueError):
+        FieldTimeline.reversal(2.0, 0.0)
+    with pytest.raises(ValueError):
+        FieldTimeline.freeze_release(2.0, 0.0, 1e-6)
 
 
 def test_ensemble_validation():

@@ -222,6 +222,16 @@ def test_max_modes_unbounded_without_noise_channel():
     assert math.isinf(max_modes(clean, 5.8))
 
 
+def test_max_modes_undefined_without_retrieval_or_background():
+    # No retrieval and no background: g2 is 0/0 for every mode count, so
+    # max_modes raises like cross_correlation instead of returning UNBOUNDED.
+    dark = replace(BASE, p_int0=0.0, xi_eg=0.0)
+    with pytest.raises(ValueError, match="zero read probability"):
+        cross_correlation(dark)
+    with pytest.raises(ValueError, match="zero read probability"):
+        max_modes(dark, 5.8)
+
+
 def test_max_modes_zero_when_single_mode_fails():
     assert max_modes(BASE, cross_correlation(replace(BASE, n_modes=1)) + 1.0) == 0
 

@@ -67,10 +67,10 @@ def test_build_schedule_freeze_release_uniform_shift():
 
 
 def test_schedule_validation():
+    with pytest.raises(ValueError, match="write_duration"):
+        build_schedule(1, 200e-9, 800e-9, FieldTimeline.reversal(2.0, 1e-6))
     with pytest.raises(ValueError):
-        ModeSchedule(1, 200e-9, 800e-9, (0.0,), (2e-6,))
-    with pytest.raises(ValueError):
-        ModeSchedule(1, 800e-9, 266e-9, (1e-6,), (0.5e-6,))
+        ModeSchedule(1, (1e-6,), (0.5e-6,))
 
 
 def test_run_trials_zero_excitation():

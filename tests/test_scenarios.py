@@ -112,6 +112,22 @@ def test_cli_model_error_exit_3(tmp_path, capsys):
     assert "model error" in capsys.readouterr().err
 
 
+def test_cli_max_modes_without_retrieval_exit_3(tmp_path, capsys):
+    bad = tmp_path / "dark.json"
+    bad.write_text('{"scenario": "max-modes", "memory": {"xi_eg": 0.0}, '
+                   '"options": {"p_int_values": [0.0, 0.4]}}')
+    assert main(["max-modes", "--config", str(bad), "--out", str(tmp_path)]) == 3
+    assert "zero read probability" in capsys.readouterr().err
+
+
+def test_cli_freeze_at_time_zero_exit_2(tmp_path, capsys):
+    bad = tmp_path / "freeze0.json"
+    bad.write_text('{"scenario": "protocol-run", "schedule": {"policy": "freeze_release", '
+                   '"freeze_time_s": 0.0, "release_time_s": 9e-6}}')
+    assert main(["protocol-run", "--config", str(bad), "--out", str(tmp_path)]) == 2
+    assert "schedule.freeze_time_s" in capsys.readouterr().err
+
+
 def test_cli_missing_config_exit_4(tmp_path):
     assert main(["echo", "--config", str(tmp_path / "absent.json"),
                  "--out", str(tmp_path)]) == 4
