@@ -137,11 +137,8 @@ class FieldTimeline:
 
     def _bounds(self):
         """Per-segment (start, end, gradient) with the last end at +inf."""
-        out = []
-        for i, (start, grad) in enumerate(self.segments):
-            end = self.segments[i + 1][0] if i + 1 < len(self.segments) else math.inf
-            out.append((start, end, grad))
-        return out
+        ends = [start for start, _ in self.segments[1:]] + [math.inf]
+        return [(start, end, grad) for (start, grad), end in zip(self.segments, ends)]
 
 
 def _phase_coefficients(timeline: FieldTimeline, write_time: float, times: np.ndarray):
@@ -157,20 +154,18 @@ def _phase_coefficients(timeline: FieldTimeline, write_time: float, times: np.nd
     """
     d = timeline.drift_rate
     tw = write_time
+    # antiderivative of (1 + d t)(t - tw): t^2/2 - tw t + d (t^3/3 - tw t^2/2)
+    def f(t):
+        return t * t / 2.0 - tw * t + d * (t ** 3 / 3.0 - tw * t * t / 2.0)
     p_int = np.zeros_like(times)
     q_int = np.zeros_like(times)
     for start, end, grad in timeline._bounds():
-        if grad == 0.0:
-            continue
         lo = max(start, tw)
-        if not math.isinf(end) and end <= lo:
+        if grad == 0.0 or end <= lo:
             continue
         hi = np.clip(times, lo, end)
-        lo_arr = np.minimum(hi, lo)  # collapses to zero width when t < lo
+        lo_arr = np.minimum(hi, lo)  # an array: array and float ** 3 round differently
         p_int += grad * ((hi - lo_arr) + d * (hi * hi - lo_arr * lo_arr) / 2.0)
-        # antiderivative of (1 + d t)(t - tw): t^2/2 - tw t + d (t^3/3 - tw t^2/2)
-        def f(t):
-            return t * t / 2.0 - tw * t + d * (t ** 3 / 3.0 - tw * t * t / 2.0)
         q_int += grad * (f(hi) - f(lo_arr))
     scale = 2.0 * math.pi * _CM_PER_M
     return scale * p_int, scale * q_int
@@ -271,12 +266,13 @@ def rephasing_time(timeline: FieldTimeline, write_time: float) -> float:
     drifting gradient itself changes sign; the root is then polished with
     ``brentq`` to 1 ns absolute tolerance.  Raises :class:`NoRephasingError`
     when no crossing exists before ``write_time + REPHASING_HORIZON``.
+    I(write_time) is exactly 0, so the search starts at the first knot after it.
     """
     t_end = write_time + REPHASING_HORIZON
     def f(t):
         """Position-proportional phase integral I(t) = int_tw^t A(t')(1 + d t') dt'."""
         return float(_phase_coefficients(timeline, write_time, np.array([t], dtype=float))[0][0])
-    knots = [write_time]
+    knots = []
     for start, end, _ in timeline._bounds():
         if write_time < start < t_end:
             knots.append(start)
@@ -289,16 +285,11 @@ def rephasing_time(timeline: FieldTimeline, write_time: float) -> float:
                 knots.append(t_flip)
     knots.append(t_end)
     knots = sorted(set(knots))
-    eps = 1e-15
     for a, b in zip(knots, knots[1:]):
-        fa, fb = f(a), f(b)
-        if a > write_time and abs(fa) < eps:
+        fa = f(a)
+        if abs(fa) < 1e-15:
             return a
-        if fa == 0.0 and a == write_time:
-            continue
-        if fa * fb <= 0.0 and (fa != 0.0 or fb != 0.0):
-            if fb == 0.0:
-                return b
+        if fa * f(b) <= 0.0:
             return brentq(f, a, b, xtol=1e-9)
     raise NoRephasingError(
         f"phase integral does not return to zero within {REPHASING_HORIZON:g} s of the write"

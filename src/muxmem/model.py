@@ -16,7 +16,7 @@ photon numbers well under one).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -187,7 +187,7 @@ def cavity_gain(
 
         gain = (p_int + (N - p_int) * xi / beta_nc) / (p_int + (N - p_int) * xi / beta_c)
     """
-    for name in ("p", "eta_w", "eta_r", "p_int0", "xi_eg", "n_modes", "tau_mem", "decay_shape"):
+    for name in [f.name for f in fields(MemoryParams) if f.name != "beta_ratio"]:
         if getattr(with_cavity, name) != getattr(without_cavity, name):
             raise ValueError(
                 f"parameter sets must differ only in beta_ratio, mismatch in {name}"

@@ -43,20 +43,26 @@ class ModeSchedule:
 
     ``write_times[m]`` is the (idealized, instantaneous) creation time of mode
     m and ``readout_times[m]`` its programmed readout, normally the rephasing
-    time of the gradient timeline the schedule was built from.
+    time of the gradient timeline the schedule was built from.  Both are
+    stored as float arrays; the mode count is their length.
     """
 
-    n_modes: int
     write_times: np.ndarray
     readout_times: np.ndarray
 
     def __post_init__(self):
-        if self.n_modes < 1:
-            raise ValueError("n_modes must be >= 1")
-        if len(self.write_times) != self.n_modes or len(self.readout_times) != self.n_modes:
-            raise ValueError("write_times and readout_times must have n_modes entries")
-        if np.any(self.readout_times <= self.write_times):
+        w = np.asarray(self.write_times, dtype=float)
+        r = np.asarray(self.readout_times, dtype=float)
+        if w.ndim != 1 or w.shape != r.shape or w.size == 0:
+            raise ValueError("need equal-length, non-empty 1-d write and readout times")
+        if np.any(r <= w):
             raise ValueError("each readout must come after its write")
+        object.__setattr__(self, "write_times", w)
+        object.__setattr__(self, "readout_times", r)
+
+    @property
+    def n_modes(self) -> int:
+        return len(self.write_times)
 
     @property
     def storage_times(self) -> np.ndarray:
@@ -87,7 +93,7 @@ def build_schedule(
         raise ValueError(
             "schedule is inconsistent: a readout falls before the final gradient step"
         )
-    return ModeSchedule(n_modes, write_times, readout_times)
+    return ModeSchedule(write_times, readout_times)
 
 
 @dataclass
@@ -310,16 +316,13 @@ def estimate_statistics(tally: CountsTally) -> TallyStatistics:
     unconditional photons (p_r = 0); zero coincidences with nonzero singles
     give 0 with a one-sided single-count error.
     """
-    m = tally.n_modes
     with np.errstate(invalid="ignore", divide="ignore"):
         p_w = tally.write_counts / tally.n_trials
         p_w_err = _ratio_err(tally.write_counts, tally.n_trials)
 
         n_ur = tally.n_uncond_reads.astype(float)
         p_r = np.where(n_ur > 0, tally.unconditional_read_counts / np.maximum(n_ur, 1), np.nan)
-
-        nu = tally.n_uncond_reads[None, :].astype(float)
-        p_wr = np.where(nu > 0, tally.uncond_coincidence_counts / np.maximum(nu, 1), np.nan)
+        p_wr = np.where(n_ur > 0, tally.uncond_coincidence_counts / np.maximum(n_ur, 1), np.nan)
 
         hr = tally.herald_reads.astype(float)
         pairs = tally.coincidence_counts.astype(float)

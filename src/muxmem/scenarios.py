@@ -32,7 +32,7 @@ from .ensemble import (
     rephasing_time,
     sample_ensemble,
 )
-from .model import cross_correlation, max_modes
+from .model import cross_correlation, g2_vs_storage, max_modes
 from .protocol import (
     CYCLE,
     _child_seed,
@@ -181,7 +181,6 @@ def _scenario_protocol_run(cfg):
     # Motion-frozen: motional decay is already in the memory's tau_mem.
     frozen = _ensemble(cfg, 0.0) if sch.drift_rate != 0.0 else None
     rows = []
-    g2_last = None
     for n in cfg.options["n_modes_values"]:
         mem = replace(cfg.memory, n_modes=n)
         timeline = _timeline(cfg, n)
@@ -202,12 +201,11 @@ def _scenario_protocol_run(cfg):
             g2_stderr = float(1.0 / np.sqrt(w.sum()))
         else:
             g2_avg, g2_stderr = float("nan"), float("nan")
-        g2_last = (g2_avg, g2_stderr)
         rows.append((n, p_w_total, p_wr_total, g2_avg, g2_stderr))
     summary = {
         "n_trials": cfg.n_trials,
-        "g2_at_max_modes": None if g2_last is None else g2_last[0],
-        "g2_stderr_at_max_modes": None if g2_last is None else g2_last[1],
+        "g2_at_max_modes": rows[-1][3],
+        "g2_stderr_at_max_modes": rows[-1][4],
         "drift_rate_per_s": sch.drift_rate,
     }
     return ScenarioResult(
@@ -237,10 +235,8 @@ def _scenario_crosstalk(cfg):
 def _scenario_storage_decay(cfg):
     times = np.linspace(0.0, cfg.options["time_stop_s"], cfg.options["n_points"])
     nocav = replace(cfg.memory, beta_ratio=cfg.options["beta_nocavity"])
-    rows = [(float(t),
-             cross_correlation(cfg.memory, storage_time=float(t)),
-             cross_correlation(nocav, storage_time=float(t)))
-            for t in times]
+    g2_c, g2_nc = g2_vs_storage(cfg.memory, times), g2_vs_storage(nocav, times)
+    rows = [(float(t), float(c), float(nc)) for (t, c), (_, nc) in zip(g2_c, g2_nc)]
     tau = cfg.memory.tau_mem
     g2c0 = cross_correlation(cfg.memory)
     g2ct = cross_correlation(cfg.memory, storage_time=tau)

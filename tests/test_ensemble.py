@@ -196,6 +196,56 @@ def test_rephasing_with_drift_stays_close_to_nominal():
     assert abs(t1 - t0) < 0.05 * t0
 
 
+# Recorded from the rephasing search before its unreachable branches were
+# deleted; every programmed readout comes from these bits.
+REPHASING_DIGEST = "8d6579e49877b10ae89c60c397b638343c535d6cca636192e6d4cd2565f87264"
+
+
+def pinned_rephasing_digest():
+    """SHA-256 of rephasing times and phase coefficients over a fixed grid.
+
+    Each case hashes, per write time, the rephasing time (or the
+    ``NoRephasingError`` text) and ``_phase_coefficients``' (a, q) on a fixed
+    time grid that starts before the write.
+    """
+    t_last = 9 * 800e-9 + 266e-9
+    train = [m * 800e-9 for m in range(10)]
+    cases = [
+        # the default reversal train
+        (FieldTimeline.reversal(2.0, t_last), train),
+        # freeze/release; the write at 1.5 us lies in the freeze, so its
+        # phase integral is exactly zero at the release
+        (FieldTimeline.freeze_release(2.0, 1e-6, 3e-6), (0.0, 0.4e-6, 1e-6, 1.5e-6)),
+        (FieldTimeline.reversal(2.0, t_last, drift_rate=2e4), train),
+        (FieldTimeline.reversal(2.0, t_last, drift_rate=-2e4), train),
+        # the drifting gradient flips sign at 10 us, inside the search window:
+        # the early writes of the train never rephase, and after an early
+        # reversal the root lies between the reversal and the flip
+        (FieldTimeline.reversal(2.0, t_last, drift_rate=-1e5), train),
+        (FieldTimeline.reversal(2.0, 2e-6, drift_rate=-1e5), (0.0, 0.5e-6, 1.5e-6)),
+        # several segments, one of them at zero gradient
+        (FieldTimeline(((0.0, 1.5), (1e-6, 0.0), (2e-6, -0.5), (3e-6, -3.0)), drift_rate=3e3),
+         (0.0, 0.5e-6, 1.2e-6, 2.5e-6)),
+        # no reversal at all
+        (FieldTimeline(((0.0, 2.0),)), (0.0,)),
+    ]
+    times = np.linspace(-1e-6, 25e-6, 131)
+    digest = hashlib.sha256()
+    for timeline, write_times in cases:
+        for write_time in write_times:
+            try:
+                digest.update(np.float64(rephasing_time(timeline, write_time)).tobytes())
+            except NoRephasingError as err:
+                digest.update(str(err).encode())
+            a, q = _phase_coefficients(timeline, write_time, times)
+            digest.update(a.tobytes() + q.tobytes())
+    return digest.hexdigest()
+
+
+def test_rephasing_times_pinned():
+    assert pinned_rephasing_digest() == REPHASING_DIGEST
+
+
 def test_echo_peaks_at_rephasing_time():
     ens = sample_ensemble(3000, SIGMA_Z, 0.0, seed=5)
     timeline = FieldTimeline.reversal(2.0, 2e-6)

@@ -70,7 +70,20 @@ def test_schedule_validation():
     with pytest.raises(ValueError, match="write_duration"):
         build_schedule(1, 200e-9, 800e-9, FieldTimeline.reversal(2.0, 1e-6))
     with pytest.raises(ValueError):
-        ModeSchedule(1, (1e-6,), (0.5e-6,))
+        ModeSchedule((1e-6,), (0.5e-6,))
+
+
+def test_schedule_compares_modes_elementwise():
+    # Mode 1 is read before it is written: the times must be compared mode
+    # by mode, not as tuples (one lexicographic bool).
+    with pytest.raises(ValueError, match="readout must come after"):
+        ModeSchedule((0.0, 1e-6), (2e-6, 0.5e-6))
+    for writes, readouts in [((), ()), ((0.0,), (1e-6, 2e-6)), ([[0.0]], [[1e-6]])]:
+        with pytest.raises(ValueError, match="equal-length"):
+            ModeSchedule(writes, readouts)
+    schedule = ModeSchedule((0.0, 1e-6), (3e-6, 2e-6))
+    assert schedule.n_modes == 2
+    np.testing.assert_array_equal(schedule.storage_times, [3e-6, 1e-6])
 
 
 def test_run_trials_zero_excitation():
