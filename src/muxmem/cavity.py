@@ -14,9 +14,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import minimize_scalar
-from scipy.constants import c as _C
+
+#: Speed of light in vacuum, m/s (exact in the SI).
+_C = 299792458.0
 
 
 @dataclass(frozen=True)
@@ -95,6 +95,7 @@ def optimal_outcoupler(loss: float) -> tuple[float, float]:
     """
     if not 0.0 < loss < 1.0:
         raise ValueError(f"loss must lie in (0, 1), got {loss}")
+    from scipy.optimize import minimize_scalar  # scipy loads only with the cavity design
 
     def neg_gain(t: float) -> float:
         return -rate_gain(CavityParams(t, loss))
@@ -138,6 +139,8 @@ def effective_enhancement(
     In the narrow-band limit this reduces to
     enhancement * transmission_spectrum(detuning).
     """
+    from scipy.integrate import quad  # scipy loads only with the pulse overlap
+
     gamma = linewidth(cav)
     sigma = pulse.spectral_fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
     delta = cavity_detuning

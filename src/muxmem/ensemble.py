@@ -18,14 +18,18 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import k as _KB, physical_constants
-from scipy.optimize import brentq
 
-_AMU = physical_constants["atomic mass constant"][0]
+#: Boltzmann constant, J/K (exact in the 2019 SI).
+_KB = 1.380649e-23
+
+#: Atomic mass constant, kg (CODATA 2022).  ``test_constants_match_scipy``
+#: fails on purpose when scipy moves to a newer CODATA adjustment.
+_AMU = 1.66053906892e-27
 
 #: Mass of the stored species (Rb-87), kg.
 ATOM_MASS = 86.909 * _AMU
@@ -46,7 +50,7 @@ class NoRephasingError(RuntimeError):
     """The position-proportional phase integral never crosses zero."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AtomEnsemble:
     """Sampled atomic positions (m) and velocities (m/s) along the grating axis."""
 
@@ -264,8 +268,10 @@ def rephasing_time(timeline: FieldTimeline, write_time: float) -> float:
     quadratic, with drift) in time, so candidate intervals are located from
     sign changes at segment boundaries and at the interior extremum where the
     drifting gradient itself changes sign; the root is then polished with
-    ``brentq`` to 1 ns absolute tolerance.  Raises :class:`NoRephasingError`
-    when no crossing exists before ``write_time + REPHASING_HORIZON``.
+    :func:`_brentq`, a step-for-step port of scipy's C ``brentq``, to
+    ``xtol = 1e-9`` s absolute and ``rtol = 4 eps`` relative tolerance in at
+    most 100 iterations.  Raises :class:`NoRephasingError` when no crossing
+    exists before ``write_time + REPHASING_HORIZON``.
     I(write_time) is exactly 0, so the search starts at the first knot after it.
     """
     t_end = write_time + REPHASING_HORIZON
@@ -290,10 +296,63 @@ def rephasing_time(timeline: FieldTimeline, write_time: float) -> float:
         if abs(fa) < 1e-15:
             return a
         if fa * f(b) <= 0.0:
-            return brentq(f, a, b, xtol=1e-9)
+            return _brentq(f, a, fa, b, xtol=1e-9)
     raise NoRephasingError(
         f"phase integral does not return to zero within {REPHASING_HORIZON:g} s of the write"
     )
+
+
+def _brentq(f, a, fa, b, xtol):
+    """Root of ``f`` in [a, b] by Brent's method, given ``fa = f(a)``.
+
+    A step-for-step port of scipy's C ``brentq`` (Brent, *Algorithms for
+    Minimization without Derivatives*, 1973, ch. 4) with its default
+    ``rtol = 4 eps`` and 100 iterations, so it returns the same bits as
+    ``scipy.optimize.brentq(f, a, b, xtol=xtol)``.  Raises ``ValueError``
+    when f(a) and f(b) have the same sign and ``RuntimeError`` when it does
+    not converge.
+    """
+    rtol = 4.0 * sys.float_info.epsilon
+    xpre, fpre = a, fa
+    xcur, fcur = b, f(b)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # secant step
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # inverse quadratic interpolation
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # C gets an inf or NaN step here, and bisects
+                stry = math.inf
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = f(xcur)
+    raise RuntimeError(f"brentq failed to converge after 100 iterations, value is {xcur}")
 
 
 def echo_profile(

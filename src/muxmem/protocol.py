@@ -37,7 +37,7 @@ FEED_FORWARD = "feed_forward"
 CYCLE = "cycle"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModeSchedule:
     """Write and readout timing for one train of temporal modes.
 
@@ -96,7 +96,7 @@ def build_schedule(
     return ModeSchedule(write_times, readout_times)
 
 
-@dataclass
+@dataclass(eq=False)
 class CountsTally:
     """Integer click, photon, and pair tallies from :func:`run_trials`.
 
@@ -283,7 +283,7 @@ def run_trials(
     return total
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TallyStatistics:
     """Per-mode(-pair) estimates derived from a :class:`CountsTally`."""
 

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from scipy.constants import c as _C
+#: Speed of light in vacuum, m/s (exact in the SI).
+_C = 299792458.0
 
 IMMEDIATE_REVERSAL = "immediate_reversal"
 FREEZE_RELEASE = "freeze_release"

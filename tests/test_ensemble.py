@@ -10,11 +10,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+import scipy.constants
+from hypothesis import assume, given, settings, strategies as st
 from scipy.constants import k as KB
+from scipy.optimize import brentq
 
 import muxmem
-from muxmem import ensemble
+from muxmem import cavity, ensemble, repeater
 from muxmem.ensemble import (
     ATOM_MASS,
     ATOM_TILE,
@@ -246,6 +248,60 @@ def test_rephasing_times_pinned():
     assert pinned_rephasing_digest() == REPHASING_DIGEST
 
 
+def timelines():
+    """Reversal, freeze/release and 1-5-segment programs, drifting either way."""
+    drift = st.one_of(st.just(0.0), st.floats(-2e5, 2e5))
+    grad = st.floats(-3.0, 3.0).filter(lambda g: g != 0.0)
+    reversal = st.builds(FieldTimeline.reversal, grad, st.floats(1e-7, 1e-4),
+                         drift_rate=drift)
+    freeze = st.builds(
+        lambda g, t0, hold, d: FieldTimeline.freeze_release(g, t0, t0 + hold, drift_rate=d),
+        grad, st.floats(1e-7, 5e-5), st.floats(1e-7, 5e-5), drift)
+    segments = st.builds(
+        lambda starts, grads, d: FieldTimeline(
+            tuple((k * 1e-7, g) for k, g in zip(sorted(starts), grads)), drift_rate=d),
+        st.lists(st.integers(0, 999), min_size=1, max_size=5, unique=True),
+        st.lists(st.one_of(st.just(0.0), grad), min_size=5, max_size=5), drift)
+    return st.one_of(reversal, freeze, segments)
+
+
+@settings(max_examples=300, deadline=None)
+@given(timeline=timelines(), write_time=st.floats(0.0, 3e-5))
+def test_brentq_port_matches_scipy_bits(timeline, write_time):
+    # Every sign change of the phase integral on a 5 us grid is polished by
+    # the port and by scipy; the roots must agree to the last bit.
+    def f(t):
+        return float(_phase_coefficients(timeline, write_time, np.array([t]))[0][0])
+    grid = np.linspace(write_time, write_time + 2e-4, 41)[1:].tolist()
+    values = [f(t) for t in grid]
+    brackets = [(a, fa, b) for a, fa, b, fb in zip(grid, values, grid[1:], values[1:])
+                if fa * fb < 0.0]
+    assume(brackets)
+    for a, fa, b in brackets:
+        ours = np.float64(ensemble._brentq(f, a, fa, b, xtol=1e-9))
+        theirs = np.float64(brentq(f, a, b, xtol=1e-9))
+        assert ours.view(np.int64) == theirs.view(np.int64)
+
+
+def test_brentq_port_fails_as_scipy_does():
+    def step(x):
+        return -1.0 if x < 0.5 else 1.0
+    with pytest.raises(ValueError, match="different signs"):
+        ensemble._brentq(step, 0.6, step(0.6), 2.0, xtol=1e-9)
+    with pytest.raises(RuntimeError, match="converge after 100 iterations"):
+        ensemble._brentq(step, 0.0, step(0.0), 1e300, xtol=1e-9)
+    with pytest.raises(RuntimeError, match="converge after 100 iterations"):
+        brentq(step, 0.0, 1e300, xtol=1e-9)
+
+
+def test_constants_match_scipy():
+    # The package writes its constants as literals so that it loads without
+    # scipy; a newer CODATA adjustment in scipy fails this on purpose.
+    assert ensemble._KB == scipy.constants.k
+    assert ensemble._AMU == scipy.constants.physical_constants["atomic mass constant"][0]
+    assert cavity._C == repeater._C == scipy.constants.c
+
+
 def test_echo_peaks_at_rephasing_time():
     ens = sample_ensemble(3000, SIGMA_Z, 0.0, seed=5)
     timeline = FieldTimeline.reversal(2.0, 2e-6)
@@ -314,6 +370,13 @@ def test_ensemble_validation():
         AtomEnsemble(np.zeros(3), np.zeros(4))
     with pytest.raises(ValueError):
         AtomEnsemble(np.zeros(0), np.zeros(0))
+
+
+def test_ensembles_compare_by_identity():
+    # A field-wise == would compare the position arrays and raise.
+    a, b = sample_ensemble(3, SIGMA_Z, 40e-6, seed=1), sample_ensemble(3, SIGMA_Z, 40e-6, seed=1)
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
 
 
 # SHA-256 of echo_profile output bytes for 2000 atoms x 600 times x two pulse

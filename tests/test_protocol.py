@@ -86,6 +86,21 @@ def test_schedule_compares_modes_elementwise():
     np.testing.assert_array_equal(schedule.storage_times, [3e-6, 1e-6])
 
 
+def test_array_holders_compare_by_identity():
+    # A field-wise == would compare arrays and raise; these compare and hash
+    # by identity, so two equal multi-mode schedules are distinct objects.
+    a, b = quick_schedule(2), quick_schedule(2)
+    np.testing.assert_array_equal(a.readout_times, b.readout_times)
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
+    tally = CountsTally.zeros(2)
+    tally.n_trials = 10
+    stats = estimate_statistics(tally)
+    for obj in (tally, stats):
+        assert obj == obj and obj != CountsTally.zeros(2)
+        assert hash(obj) == hash(obj)
+
+
 def test_run_trials_zero_excitation():
     mem = replace(FIVE, p=0.0)
     tally = run_trials(mem, quick_schedule(5), 5000, seed=1)
