@@ -273,6 +273,9 @@ def rephasing_time(timeline: FieldTimeline, write_time: float) -> float:
     most 100 iterations.  Raises :class:`NoRephasingError` when no crossing
     exists before ``write_time + REPHASING_HORIZON``.
     I(write_time) is exactly 0, so the search starts at the first knot after it.
+    A knot where |I| is at most 1e-12 of the integral's total variation since
+    the write is itself the echo; the threshold is relative, so a weak
+    gradient that never reverses still raises.
     """
     t_end = write_time + REPHASING_HORIZON
     def f(t):
@@ -291,12 +294,18 @@ def rephasing_time(timeline: FieldTimeline, write_time: float) -> float:
                 knots.append(t_flip)
     knots.append(t_end)
     knots = sorted(set(knots))
+    # I is monotone between knots, so the summed knot-to-knot steps are the
+    # integral's total variation since the write: the scale against which a
+    # knot value counts as zero.
+    f_prev, fa, variation = 0.0, f(knots[0]), 0.0
     for a, b in zip(knots, knots[1:]):
-        fa = f(a)
-        if abs(fa) < 1e-15:
+        variation += abs(fa - f_prev)
+        if abs(fa) <= 1e-12 * variation:
             return a
-        if fa * f(b) <= 0.0:
+        fb = f(b)
+        if fa * fb <= 0.0:
             return _brentq(f, a, fa, b, xtol=1e-9)
+        f_prev, fa = fa, fb
     raise NoRephasingError(
         f"phase integral does not return to zero within {REPHASING_HORIZON:g} s of the write"
     )

@@ -14,22 +14,32 @@ Trials are partitioned into fixed-size blocks, each driven by its own
 counter-derived Philox stream.  A block is tallied in one vectorized pass:
 the write clicks are listed once, and every count is an ``np.bincount`` by
 read mode, or by (herald mode, read mode) cell, over the block's reading
-trials and clicks.  Blocks run one after another, in block order, and
-their integer counts are added into a single running tally in place.
+trials and clicks.  The blocks run on a thread pool with one worker per
+usable CPU (at most one per block): worker w takes blocks w, w + W, ... into
+its own tally, filling each block's dense uniform draws in place, chunk by
+chunk, from one small per-worker buffer.  The worker tallies are then added
+field by field.  Integer addition is exact and order-free, so every count
+has the same bits on any number of CPUs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .ensemble import AtomEnsemble, FieldTimeline, collective_efficiency, rephasing_time
+from .ensemble import (
+    AtomEnsemble, FieldTimeline, _usable_cpus, collective_efficiency, rephasing_time,
+)
 from .model import MemoryParams
 
 #: Trials per RNG block.  Fixed: it is part of the determinism contract.
 BLOCK_SIZE = 4096
+
+#: Doubles per in-place uniform draw: the size of each worker's draw buffer.
+_DRAW_CHUNK = 2 ** 15
 
 #: Readout policies: read the first heralded mode (odd trials run fixed-mode
 #: normalization passes), or read mode (trial index mod n_modes) every trial.
@@ -165,7 +175,9 @@ def run_trials(
     mode index for fixed-mode readout of every trial.  ``retrieval_scale``
     optionally multiplies the decayed intrinsic retrieval per mode, for
     coupling in externally computed rephasing deficits.  Deterministic for
-    fixed (seed, n_trials).
+    fixed (seed, n_trials): the blocks run concurrently, one thread per
+    usable CPU, but each block has its own Philox stream and the per-worker
+    tallies are summed as integers, so the bits do not depend on the CPU count.
     """
     m = mem.n_modes
     if schedule.n_modes != m:
@@ -179,7 +191,8 @@ def run_trials(
         if not 0 <= readout < m:
             raise ValueError(f"fixed readout mode {readout} out of range")
     scale = np.ones(m) if retrieval_scale is None else np.asarray(retrieval_scale, float)
-    if scale.shape != (m,) or np.any(scale < 0.0) or np.any(scale > 1.0):
+    # written so that NaN, which fails every comparison, is rejected too
+    if scale.shape != (m,) or not np.all((scale >= 0.0) & (scale <= 1.0)):
         raise ValueError("retrieval_scale must be per-mode factors in [0, 1]")
 
     pint_t = mem.p_int(schedule.storage_times)      # decayed retrieval per mode
@@ -202,14 +215,32 @@ def run_trials(
         c = np.bincount(keys, weights, minlength=n)
         return c if weights is None else c.astype(np.int64)
 
-    def run_block(b: int, tally: CountsTally) -> None:
-        """Draw block ``b`` and add its counts into ``tally`` in place."""
+    def draw_below(rng, threshold, buf, out) -> None:
+        """Set ``out`` to ``rng.random(out.shape) < threshold``, drawn into ``buf``.
+
+        The uniforms are filled chunk by chunk in row order; consecutive
+        fills continue the Philox stream, so the bits equal one dense draw.
+        """
+        flat = out.reshape(-1)
+        for lo in range(0, flat.size, buf.size):
+            chunk = buf[:flat.size - lo]
+            rng.random(out=chunk)
+            np.less(chunk, threshold, out=flat[lo:lo + chunk.size])
+
+    def run_block(b: int, tally: CountsTally, buf, spin, write) -> None:
+        """Draw block ``b`` and add its counts into ``tally`` in place.
+
+        ``buf`` is the worker's draw buffer; ``spin`` and ``write`` are its
+        (rows, m) bool arrays, of which the block uses the first ``size`` rows.
+        """
         start = b * BLOCK_SIZE
         size = min(BLOCK_SIZE, n_trials - start)
         rng = _block_rng(seed, b)
         idx = start + np.arange(size)
-        spin = rng.random((size, m)) < mem.p
-        write = spin & (rng.random((size, m)) < mem.eta_w)
+        spin, write = spin[:size], write[:size]
+        draw_below(rng, mem.p, buf, spin)
+        draw_below(rng, mem.eta_w, buf, write)
+        write &= spin
         # Every write click as (trial, mode), trials ascending and modes
         # ascending within a trial (flat indices are much faster than 2-D
         # np.nonzero).
@@ -277,9 +308,26 @@ def run_trials(
         tally.split_b += count(hr[arm_b])
         tally.split_ab += count(hr[arm_a & arm_b])
 
-    total = CountsTally.zeros(m)
-    for b in range(n_blocks):
-        run_block(b, total)
+    # Worker w runs blocks w, w + W, ... into its own tally: a shared tally
+    # would race, since += on a large array can release the GIL partway.
+    workers = min(n_blocks, _usable_cpus())
+
+    def run_worker(w: int) -> CountsTally:
+        tally = CountsTally.zeros(m)
+        rows = min(BLOCK_SIZE, n_trials)
+        buf = np.empty(min(_DRAW_CHUNK, rows * m))
+        spin = np.empty((rows, m), dtype=bool)
+        write = np.empty_like(spin)
+        for b in range(w, n_blocks, workers):
+            run_block(b, tally, buf, spin, write)
+        return tally
+
+    with ThreadPoolExecutor(workers) as pool:
+        total, *rest = pool.map(run_worker, range(workers))
+    for part in rest:
+        total.n_trials += part.n_trials
+        for f in fields(CountsTally)[2:]:
+            getattr(total, f.name)[...] += getattr(part, f.name)
     return total
 
 

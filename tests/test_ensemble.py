@@ -189,6 +189,18 @@ def test_rephasing_requires_reversal():
         rephasing_time(timeline, 0.0)
 
 
+@pytest.mark.parametrize("gradient", [1e-12, 1e-6, 2.0])
+def test_rephasing_search_is_scale_free(gradient):
+    # The phase integral scales with the gradient, and so must the test for
+    # a zero at a knot: at 1e-12 G/cm the integral at the reversal is below
+    # 1e-15, which an absolute threshold took for the echo.
+    reversal = FieldTimeline.reversal(gradient, 1.2e-6)
+    assert rephasing_time(reversal, 0.0) == pytest.approx(2.4e-6, abs=1e-12)
+    no_reversal = FieldTimeline(((0.0, gradient), (1e-6, 2.0 * gradient)))
+    with pytest.raises(NoRephasingError):
+        rephasing_time(no_reversal, 0.0)
+
+
 def test_rephasing_with_drift_stays_close_to_nominal():
     nominal = FieldTimeline.reversal(2.0, 2e-6)
     drifted = FieldTimeline.reversal(2.0, 2e-6, drift_rate=2000.0)

@@ -3,13 +3,20 @@
 import dataclasses
 import hashlib
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+import muxmem
+from muxmem import protocol
 from muxmem.ensemble import FieldTimeline
 from muxmem.model import MemoryParams, cross_correlation, retrieval_given_write, write_prob
 from muxmem.protocol import (
@@ -24,6 +31,7 @@ from muxmem.protocol import (
     estimate_statistics,
     heralded_autocorrelation,
     run_trials,
+    _DRAW_CHUNK,
     _block_rng,
 )
 
@@ -337,6 +345,16 @@ def test_run_trials_validation():
         run_trials(FIVE, quick_schedule(5), 1000, seed=1, readout=7)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_retrieval_scale_rejects_non_finite(bad):
+    # NaN fails both range comparisons, so it must be rejected explicitly
+    for mode in (0, 4):
+        scale = np.ones(5)
+        scale[mode] = bad
+        with pytest.raises(ValueError, match="retrieval_scale"):
+            run_trials(FIVE, quick_schedule(5), 1000, seed=1, retrieval_scale=scale)
+
+
 def test_retrieval_scale_reduces_signal():
     scaled = run_trials(FIVE, quick_schedule(5), 200000, seed=51,
                         readout=2, retrieval_scale=np.full(5, 0.25))
@@ -556,3 +574,73 @@ def test_vectorized_tally_equals_loop_reference(m, n_trials, seed, readout, xi_e
     assert_tallies_equal(
         run_trials(mem, schedule, n_trials, seed, readout=readout, retrieval_scale=scale),
         loop_run_trials(mem, schedule, n_trials, seed, readout, retrieval_scale=scale))
+
+
+# Block counts around the pool sizes: one partial block; three blocks, the
+# last partial, with more CPUs than blocks; and nine full blocks, more
+# blocks than any pool here.
+POOL_TRIALS = (1, 2 * BLOCK_SIZE + 17, 9 * BLOCK_SIZE)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+@pytest.mark.parametrize("n_trials", POOL_TRIALS)
+def test_tally_same_bits_on_any_cpu_count(cpus, n_trials):
+    # ``cpus`` stands in for the usable CPU count, so the pool runs with one
+    # worker, with a worker short of a full round of blocks, and with more
+    # CPUs than blocks on any machine.
+    mem = replace(PINNED, n_modes=9)
+    schedule = quick_schedule(9)
+    with mock.patch.object(protocol, "_usable_cpus", lambda: cpus):
+        got = run_trials(mem, schedule, n_trials, seed=77)
+    assert_tallies_equal(got, loop_run_trials(mem, schedule, n_trials, 77, FEED_FORWARD))
+
+
+def pool_digests():
+    """Per-field tally digests over ``POOL_TRIALS`` at nine modes."""
+    mem = replace(PINNED, n_modes=9)
+    return [tally_field_digests(run_trials(mem, quick_schedule(9), n, seed=77))
+            for n in POOL_TRIALS]
+
+
+# The child pins itself to one CPU (only its own process), so run_trials
+# sizes its pool to one worker there, then prints the tally digests.
+ONE_CPU_CHILD = """
+import os, sys
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+sys.path.insert(0, sys.argv[1])
+from test_protocol import pool_digests
+print(len(os.sched_getaffinity(0)))
+print("\\n".join(pool_digests()))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="os.sched_setaffinity is not available")
+def test_tally_same_bits_on_one_cpu():
+    src = str(Path(muxmem.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", ONE_CPU_CHILD, str(Path(__file__).parent)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["1", *pool_digests()]
+
+
+@settings(max_examples=6, deadline=None)
+@given(m=st.sampled_from([9, 40, 100]),
+       n_trials=st.integers(2 * BLOCK_SIZE + 1, 3 * BLOCK_SIZE - 1),
+       seed=st.integers(0, 2**32),
+       readout=st.sampled_from([FEED_FORWARD, CYCLE, "fixed"]),
+       cpus=st.sampled_from([1, 2, 3]), data=st.data())
+def test_chunked_draws_equal_loop_reference(m, n_trials, seed, readout, cpus, data):
+    # BLOCK_SIZE * m exceeds the draw chunk at these m, so the in-place
+    # draws cross chunk boundaries mid-row; the dense draws of the loop
+    # reference must still give the same bits.
+    assert BLOCK_SIZE * m > _DRAW_CHUNK
+    if readout == "fixed":
+        readout = data.draw(st.integers(0, m - 1))
+    mem = replace(PINNED, n_modes=m)
+    schedule = quick_schedule(m)
+    with mock.patch.object(protocol, "_usable_cpus", lambda: cpus):
+        got = run_trials(mem, schedule, n_trials, seed, readout=readout)
+    assert_tallies_equal(got, loop_run_trials(mem, schedule, n_trials, seed, readout))
