@@ -226,6 +226,10 @@ OPTION_SPECS = {
 
 SCENARIOS = tuple(OPTION_SPECS)
 
+#: Scan ranges, per scenario, as (start option, stop option); the stop must
+#: lie above the start.
+_SCAN_RANGES = {"cavity-design": ("t_min", "t_max"), "echo": ("time_start_s", "time_stop_s")}
+
 _RUN_KEYS = ("scenario", "rng_seed", "n_trials", "output_path")
 _TOP_KEYS = (*_RUN_KEYS, *BLOCK_SPECS, "options")
 
@@ -272,6 +276,11 @@ def parse_config(text: str, scenario: str | None = None) -> ScenarioConfig:
             )
     options = {key: (parser(f"options.{key}", raw_opt[key]) if key in raw_opt else default)
                for key, (default, parser) in opt_spec.items()}
+    if chosen in _SCAN_RANGES:
+        start, stop = _SCAN_RANGES[chosen]
+        if not options[start] < options[stop]:
+            raise ConfigError(f"options.{stop}: must be greater than {start} "
+                              f"({options[start]}), got {options[stop]}")
 
     defaults = ScenarioConfig(scenario=chosen)
     try:

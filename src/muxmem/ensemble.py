@@ -379,7 +379,13 @@ def echo_profile(
     envelope (FWHM ``pulse.duration_fwhm``, centred on ``write_time``); the
     profile is the envelope-weighted average of the single-creation-time
     efficiency, evaluated by Gauss-Hermite quadrature with ``nodes`` nodes
-    (33 by default).
+    (33 by default).  The outermost nodes are left out in symmetric pairs
+    while their total normalized weight stays at most
+    ``QUADRATURE_TAIL_WEIGHT`` (see ``_creation_nodes``): 23 of the default
+    33 node curves are computed, and all 9 of a 9-node rule.  The kept
+    weights are not renormalized, and each curve lies in [0, ``p_int0``], so
+    the profile differs from the full rule's by at most ``p_int0`` times the
+    dropped weight, at most 1e-10 ``p_int0``.
 
     Each node's curve sums the phasors sequentially over atoms, with an
     ordered carry between atom tiles, and divides by the atom count as
@@ -397,15 +403,38 @@ def echo_profile(
         raise ValueError("need at least 3 quadrature nodes")
     times = np.asarray(times, dtype=float)
     sigma_t = pulse.duration_fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
-    x, w = np.polynomial.hermite.hermgauss(nodes)
-    w = w / w.sum()
+    x, w = _creation_nodes(nodes)
     created = [write_time + math.sqrt(2.0) * sigma_t * xk for xk in x]
     eff = np.zeros_like(times)
-    with ThreadPoolExecutor(min(nodes, _usable_cpus())) as pool:
+    with ThreadPoolExecutor(min(len(x), _usable_cpus())) as pool:
         curves = pool.map(lambda t: _efficiency_curve(ens, timeline, t, times, p_int0), created)
         for wk, curve in zip(w, curves):
             eff += wk * curve
     return np.column_stack([times, eff])
+
+
+#: Largest total normalized weight of the outer Gauss-Hermite nodes that
+#: :func:`echo_profile` leaves out.  It drops 10 of 33 nodes and moves the
+#: profile by at most this times ``p_int0``, far below the 33-node rule's own
+#: quadrature error (about 6e-3 at a 1 us pulse).
+QUADRATURE_TAIL_WEIGHT = 1e-10
+
+
+def _creation_nodes(nodes: int):
+    """Gauss-Hermite abscissae and normalized weights, less the negligible outer pairs.
+
+    Pairs are dropped from the outside in while the dropped weight stays at
+    most ``QUADRATURE_TAIL_WEIGHT``; the centre node (or pair) is always
+    kept.  The kept nodes stay in node order and their weights are not
+    renormalized.
+    """
+    x, w = np.polynomial.hermite.hermgauss(nodes)
+    w = w / w.sum()
+    drop = 0
+    while (drop < (nodes - 1) // 2
+           and w[:drop + 1].sum() + w[nodes - drop - 1:].sum() <= QUADRATURE_TAIL_WEIGHT):
+        drop += 1
+    return x[drop:nodes - drop], w[drop:nodes - drop]
 
 
 def _usable_cpus() -> int:

@@ -21,6 +21,7 @@ from muxmem.ensemble import (
     ATOM_MASS,
     ATOM_TILE,
     K_SW_DEFAULT,
+    QUADRATURE_TAIL_WEIGHT,
     TIME_TILE,
     ZEEMAN_COEFF_DEFAULT,
     AtomEnsemble,
@@ -30,6 +31,7 @@ from muxmem.ensemble import (
     echo_profile,
     rephasing_time,
     sample_ensemble,
+    _creation_nodes,
     _efficiency_curve,
     _phase_coefficients,
 )
@@ -392,9 +394,12 @@ def test_ensembles_compare_by_identity():
 
 
 # SHA-256 of echo_profile output bytes for 2000 atoms x 600 times x two pulse
-# widths, recorded from the untiled kernel (one (atoms x times) array per
-# 512-time chunk) before it was replaced by the tiled one.
-ECHO_PROFILE_DIGEST = "0d2784580e0daaf3efdecab5e9d91b310cc16c82916e88a632a2e95c2816713e"
+# widths, with the outer nodes of weight at most QUADRATURE_TAIL_WEIGHT left
+# out (23 of 33 node curves).  With all 33 curves, the untiled kernel (one
+# (atoms x times) array per 512-time chunk) and the tiled one that replaced it
+# gave the same digest; leaving the nodes out moved no value by more than
+# 5.9e-12.
+ECHO_PROFILE_DIGEST = "7b6d34559773ccae4f20e8629d4cf2d53aeae321da7b4274f13c39b8279b8471"
 
 
 def pinned_echo_digest():
@@ -435,11 +440,15 @@ def test_echo_profile_same_bits_on_one_cpu():
     assert proc.stdout.split() == ["1", ECHO_PROFILE_DIGEST]
 
 
-def serial_echo_reference(ens, timeline, write_time, pulse, p_int0, times, nodes):
-    """The echo profile's efficiency column as one loop over the nodes, in order."""
-    sigma_t = pulse.duration_fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
+def full_rule(nodes):
+    """All Gauss-Hermite abscissae and their weights, normalized to sum to 1."""
     x, w = np.polynomial.hermite.hermgauss(nodes)
-    w = w / w.sum()
+    return x, w / w.sum()
+
+
+def serial_echo_reference(ens, timeline, write_time, pulse, p_int0, times, x, w):
+    """The echo profile's efficiency column as one loop over the nodes (x, w), in order."""
+    sigma_t = pulse.duration_fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
     eff = np.zeros_like(times)
     for xk, wk in zip(x, w):
         t_created = write_time + math.sqrt(2.0) * sigma_t * xk
@@ -465,9 +474,53 @@ def test_threaded_echo_profile_equals_serial_node_sum(nodes, cpus, n_atoms, n_ti
     pulse = PulseSpec(fwhm)
     with mock.patch.object(ensemble, "_usable_cpus", lambda: cpus):
         got = echo_profile(ens, timeline, 0.0, pulse, 0.4, times, nodes=nodes)
-    want = serial_echo_reference(ens, timeline, 0.0, pulse, 0.4, times, nodes)
+    want = serial_echo_reference(ens, timeline, 0.0, pulse, 0.4, times,
+                                 *_creation_nodes(nodes))
     np.testing.assert_array_equal(got[:, 0], times)
     np.testing.assert_array_equal(got[:, 1].view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("nodes, kept", [(3, 3), (9, 9), (17, 15), (25, 19), (33, 23), (65, 33)])
+def test_creation_nodes_drop_outer_pairs(nodes, kept):
+    x, w = _creation_nodes(nodes)
+    x_full, w_full = full_rule(nodes)
+    drop = (nodes - kept) // 2
+    assert len(x) == kept
+    np.testing.assert_array_equal(x, x_full[drop:nodes - drop])
+    np.testing.assert_array_equal(w, w_full[drop:nodes - drop])
+    assert w_full[:drop].sum() + w_full[nodes - drop:].sum() <= QUADRATURE_TAIL_WEIGHT
+
+
+def test_creation_nodes_keep_the_centre():
+    for nodes in range(3, 66):
+        x, _ = _creation_nodes(nodes)
+        x_full, _ = full_rule(nodes)
+        centre = x_full[(nodes - 1) // 2:nodes // 2 + 1]
+        assert np.isin(centre, x).all()
+
+
+@settings(max_examples=30, deadline=None)
+@given(nodes=st.integers(3, 65),
+       n_atoms=st.sampled_from([1, 2, 50]),
+       drift_rate=st.sampled_from([-2e4, 0.0, 2e4]),
+       fwhm=st.floats(1e-9, 1.2e-6),
+       seed=st.integers(0, 2**32 - 1))
+def test_dropped_nodes_move_the_profile_by_at_most_their_weight(nodes, n_atoms, drift_rate,
+                                                                  fwhm, seed):
+    # Every node curve lies in [0, p_int0] and the kept weights are not
+    # renormalized, so the full rule differs by at most p_int0 times the
+    # weight left out, plus rounding in the node sum.
+    ens = sample_ensemble(n_atoms, SIGMA_Z, 40e-6, seed=seed)
+    timeline = FieldTimeline.reversal(2.0, 2e-6, drift_rate=drift_rate)
+    times = np.linspace(2.5e-6, 5.5e-6, 40)
+    pulse, p_int0 = PulseSpec(fwhm), 0.4
+    got = echo_profile(ens, timeline, 0.0, pulse, p_int0, times, nodes=nodes)[:, 1]
+    x_full, w_full = full_rule(nodes)
+    full = serial_echo_reference(ens, timeline, 0.0, pulse, p_int0, times, x_full, w_full)
+    drop = (nodes - len(_creation_nodes(nodes)[0])) // 2
+    dropped = w_full[:drop].sum() + w_full[nodes - drop:].sum()
+    bound = p_int0 * dropped + 64 * np.finfo(float).eps * p_int0
+    assert np.abs(got - full).max() <= bound
 
 
 @pytest.mark.parametrize("gradient, reverse_time, time_span, write_times", [

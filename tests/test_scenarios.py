@@ -128,6 +128,21 @@ def test_cli_freeze_at_time_zero_exit_2(tmp_path, capsys):
     assert "schedule.freeze_time_s" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scenario, options, message", [
+    ("echo", '{"time_start_s": 5e-6, "time_stop_s": 3e-6}',
+     "options.time_stop_s: must be greater than time_start_s"),
+    ("echo", '{"time_start_s": 4e-6, "time_stop_s": 4e-6}',
+     "options.time_stop_s: must be greater than time_start_s"),
+    ("cavity-design", '{"t_min": 0.4, "t_max": 0.1}', "options.t_max: must be greater than t_min"),
+])
+def test_cli_reversed_scan_range_exit_2(tmp_path, capsys, scenario, options, message):
+    bad = tmp_path / "reversed.json"
+    bad.write_text(f'{{"scenario": "{scenario}", "options": {options}}}')
+    assert main([scenario, "--config", str(bad), "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / f"{scenario}.csv").exists()
+
+
 def test_cli_missing_config_exit_4(tmp_path):
     assert main(["echo", "--config", str(tmp_path / "absent.json"),
                  "--out", str(tmp_path)]) == 4
