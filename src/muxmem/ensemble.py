@@ -16,6 +16,7 @@ and the Zeeman coefficient in Hz per gauss.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import sys
@@ -187,74 +188,136 @@ def collective_efficiency(
     with the atom coasting from its write-time position,
     z_j(t') = z_j + v_j (t' - t_w).  One time point of the echo kernel
     ``_efficiency_curve``; the spatially uniform bias only adds a global
-    phase and drops out.
+    phase and drops out.  A single time is an anchor of the kernel, so each
+    phasor is the direct ``exp(i phi_j)`` and the result has the bits of
+    ``p_int0 * abs(np.exp(1j * phi).mean()) ** 2``.
     """
     if time < write_time:
         raise ValueError("time must be >= write_time")
     return float(_efficiency_curve(ens, timeline, write_time, [time], p_int0)[0])
 
 
-#: Atoms per tile of the echo kernel; with up to ``TIME_TILE`` times, a
-#: tile's three work buffers stay within a per-core L2 cache.
-ATOM_TILE = 256
+#: Largest phase error (rad) per atom and time that the echo kernel's phasor
+#: recurrence may add, once for the polynomial it follows and once for its
+#: rounding (see ``_efficiency_curve``).
+PHASE_TOL = 1e-12
 
-#: Times per tile of the echo kernel.  Kept at 512: a tile one time wide is
-#: summed pairwise (see ``_efficiency_curve``), so tiles must be one time
-#: wide exactly where the untiled kernel's 512-time chunks were.
-TIME_TILE = 512
+
+@functools.cache
+def _step_cap(order: int) -> int:
+    """Most recurrence steps after an anchor whose rounding stays within ``PHASE_TOL``.
+
+    Each anchor ``exp`` and each complex multiply errs by at most eps
+    (relative), and a step adds level k + 1's error to level k's, so after n
+    steps a chain of order K errs by at most eps (1 + 2 sum_{i=1..K} C(n, i)),
+    about eps n^2 for K = 2.  That is 66 steps for K = 2 and 23 for K = 3.
+    """
+    eps = np.finfo(float).eps
+    n = 0
+    while eps * (1 + 2 * sum(math.comb(n + 1, i) for i in range(1, order + 1))) <= PHASE_TOL:
+        n += 1
+    return n
+
+
+def _pieces(za, b, z_max, v_max, order):
+    """Split the time grid into pieces on which the phasor recurrence holds.
+
+    Yields (start, length, za table, b table) per piece.  A table holds the
+    forward differences of ``za`` (or ``b``) at the piece's start, up to
+    ``order``; the recurrence follows the Newton polynomial
+    c_0 + m c_1 + C(m, 2) c_2 + ... they define at step m.  A piece ends at
+    the first time where that polynomial misses any atom's phase
+    z za + v b by more than ``PHASE_TOL``, bounded over the atoms by
+    ``z_max |dza| + v_max |db|``, or after ``_step_cap(order)`` steps.  The
+    test is NaN-safe: a NaN deviation ends the piece, so a non-finite time is
+    a piece of its own and its phasors never reach another time.
+    """
+    cap = _step_cap(order)
+    start = 0
+    while start < len(za):
+        span = min(cap + 1, len(za) - start)
+        m = np.arange(span, dtype=float)
+        tables, dev = [], 0.0
+        for scale, c in ((z_max, za), (v_max, b)):
+            window = c[start:start + order + 1]
+            table = [window[0]]
+            for _ in range(len(window) - 1):
+                window = np.diff(window)
+                table.append(window[0])
+            poly, binom = np.full(span, table[0]), np.ones(span)
+            for k, ck in enumerate(table[1:], 1):
+                binom = binom * (m - k + 1) / k
+                poly += binom * ck
+            dev = dev + scale * np.abs(poly - c[start:start + span])
+            tables.append(table)
+        miss = np.flatnonzero(~(dev <= PHASE_TOL))
+        length = max(1, miss[0]) if miss.size else span
+        yield start, length, *tables
+        start += length
 
 
 def _efficiency_curve(ens, timeline, write_time, times, p_int0):
     """Collective efficiency p_int0 |mean_j exp(i phi_j(t))|^2 on a time grid.
 
-    The bias is omitted; it is a global phase and cancels.  Atoms and times
-    are streamed through tiles of at most ``ATOM_TILE`` x ``TIME_TILE``, so
-    no (atoms x times) array is built.  The result is bit-identical to
-    ``np.abs(np.exp(1j * phi).mean(axis=0)) ** 2`` taken on each 512-time
-    chunk of the (atoms x times) phase array:
+    Atom j's phase at time t_n is phi_j(t_n) = z_j ZA_n + v_j B_n, with
+    ZA = zc a and B = k_sw (t - t_w) + zc q from ``_phase_coefficients``; the
+    bias is a global phase and is left out.  Between the timeline's knots
+    and the write time, ZA and B are polynomials in t of degree 2 (3 with
+    drift), so on a uniform grid the phasors follow a recurrence in the time
+    index n:
 
-    - the phase of each element comes from the same elementwise operations,
-      and ``exp`` reads it from the imaginary part of a buffer whose real
-      part is +0, as ``1j * phi`` makes it (``exp(+-0) = 1``);
-    - each time's phasors are summed sequentially over atoms, the order in
-      which ``mean(axis=0)`` reduces a C-ordered array: row 0 of the exp
-      buffer carries the running sum from one atom tile into the next, and
-      the first tile starts from its own first atom;
-    - numpy sums a single column pairwise, not row by row, so a tile one
-      time wide takes every atom at once;
-    - the sum is divided by the atom count with ``np.true_divide``, as
-      ``np.mean`` divides it.
+        e_{n+1} = e_n d_n,   d_{n+1} = d_n s   (with drift also s_{n+1} = s_n c)
+
+    where e_n = exp(i phi_j(t_n)) and d, s, c are the phasors of the phase's
+    first, second and third forward differences.  ``_pieces`` splits the grid
+    into pieces; at the start of each (the anchor) the chain comes directly
+    from ``exp``, and each later time costs one complex multiply per chain
+    level over the atom vector and one sum, not an ``exp``.  Knots, the
+    write time, a non-uniform grid and non-finite times end pieces by
+    themselves, and a single time is just an anchor.
+
+    Error bound: on a piece the recurrence's polynomial misses each atom's
+    phase by at most ``PHASE_TOL`` and its rounding adds at most
+    ``PHASE_TOL`` more (``_step_cap``), so each phasor lies within
+    delta = 2 ``PHASE_TOL`` of exp(i phi_j), plus rounding of order
+    eps (1 + |phi_j|) that direct evaluation shares.  The mean phasor then
+    moves by at most delta and the efficiency by at most
+    p_int0 delta (2 + delta), about 4e-12 p_int0.
+
+    Each time's phasors are summed pairwise (``np.add.reduce`` over the atom
+    vector) and the sum is divided by the atom count as ``np.mean`` divides
+    it, so an anchor's value has the bits of the direct evaluation.
     """
     times = np.asarray(times, dtype=float)
     a, q = _phase_coefficients(timeline, write_time, times)
     zc = ens.zeeman_coeff
-    n_atoms = ens.n_atoms
-    out = np.empty_like(times)
-    for t0 in range(0, len(times), TIME_TILE):
-        sl = slice(t0, t0 + TIME_TILE)
-        za = zc * a[sl]
-        b = ens.k_sw * (times[sl] - write_time) + zc * q[sl]
-        width = len(b)
-        step = n_atoms if width == 1 else min(ATOM_TILE, n_atoms)
-        phase = np.zeros((step, width), dtype=complex)
-        vb = np.empty((step, width))
-        expo = np.empty((step + 1, width), dtype=complex)
-        acc = np.empty(width, dtype=complex)
-        for i in range(0, n_atoms, step):
-            k = min(step, n_atoms - i)
-            im = phase[:k].imag
-            np.multiply(ens.positions[i:i + k, None], za, out=im)
-            np.multiply(ens.velocities[i:i + k, None], b, out=vb[:k])
-            np.add(im, vb[:k], out=im)
-            np.exp(phase[:k], out=expo[1:k + 1])
-            if i == 0:
-                np.add.reduce(expo[1:k + 1], axis=0, out=acc)
-            else:
-                expo[0] = acc
-                np.add.reduce(expo[:k + 1], axis=0, out=acc)
-        np.true_divide(acc, n_atoms, out=acc, casting="unsafe")
-        out[sl] = np.abs(acc) ** 2
-    return p_int0 * out
+    za = zc * a
+    b = ens.k_sw * (times - write_time) + zc * q
+    z, v = ens.positions, ens.velocities
+    order = 3 if timeline.drift_rate else 2
+    phase = np.zeros(ens.n_atoms, dtype=complex)  # real part stays +0, as in 1j * phi
+    im = phase.imag
+    vb = np.empty(ens.n_atoms)
+    # One array per chain level: with a single (levels x atoms) block, the
+    # trial-engine runs that follow in the same process measured about 15% slower.
+    chain = [np.empty(ens.n_atoms, dtype=complex) for _ in range(order + 1)]
+    acc = np.empty(len(times), dtype=complex)
+    for start, length, za_table, b_table in _pieces(
+            za, b, np.abs(z).max(), np.abs(v).max(), order):
+        levels = min(order, length - 1) + 1
+        for k in range(levels):
+            np.multiply(z, za_table[k], out=im)
+            np.multiply(v, b_table[k], out=vb)
+            np.add(im, vb, out=im)
+            np.exp(phase, out=chain[k])
+        acc[start] = np.add.reduce(chain[0])
+        for m in range(1, length):
+            # level k is still needed at step m only while k < length - m
+            for k in range(min(levels - 1, length - m)):
+                np.multiply(chain[k], chain[k + 1], out=chain[k])
+            acc[start + m] = np.add.reduce(chain[0])
+    np.true_divide(acc, ens.n_atoms, out=acc, casting="unsafe")
+    return p_int0 * np.abs(acc) ** 2
 
 
 #: Window after the write (s) in which :func:`rephasing_time` seeks the echo.
@@ -383,14 +446,17 @@ def echo_profile(
     while their total normalized weight stays at most
     ``QUADRATURE_TAIL_WEIGHT`` (see ``_creation_nodes``): 23 of the default
     33 node curves are computed, and all 9 of a 9-node rule.  The kept
-    weights are not renormalized, and each curve lies in [0, ``p_int0``], so
-    the profile differs from the full rule's by at most ``p_int0`` times the
-    dropped weight, at most 1e-10 ``p_int0``.
+    weights are not renormalized, and each curve lies in [0, ``p_int0``] (up
+    to the kernel's bound below), so the profile differs from the full
+    rule's by at most ``p_int0`` times the dropped weight, at most 1e-10
+    ``p_int0``.
 
-    Each node's curve sums the phasors sequentially over atoms, with an
-    ordered carry between atom tiles, and divides by the atom count as
-    ``np.mean`` divides, so its bits equal those of the untiled kernel (see
-    ``_efficiency_curve``).
+    Each node's curve comes from the phasor recurrence of
+    ``_efficiency_curve``: an ``exp`` per atom only at the anchor of each
+    piece of the time grid, then complex multiplies.  Each phasor stays
+    within 2 ``PHASE_TOL`` of exp(i phi_j), so each curve, and with weights
+    summing to at most 1 the profile, lies within about 4 ``PHASE_TOL``
+    ``p_int0`` (4e-12 ``p_int0``) of the direct evaluation.
 
     The node curves are independent, so they run on a thread pool with one
     worker per usable CPU (at most one per node); numpy releases the GIL in

@@ -19,10 +19,9 @@ import muxmem
 from muxmem import cavity, ensemble, repeater
 from muxmem.ensemble import (
     ATOM_MASS,
-    ATOM_TILE,
     K_SW_DEFAULT,
+    PHASE_TOL,
     QUADRATURE_TAIL_WEIGHT,
-    TIME_TILE,
     ZEEMAN_COEFF_DEFAULT,
     AtomEnsemble,
     FieldTimeline,
@@ -34,6 +33,8 @@ from muxmem.ensemble import (
     _creation_nodes,
     _efficiency_curve,
     _phase_coefficients,
+    _pieces,
+    _step_cap,
 )
 from muxmem.cavity import PulseSpec
 
@@ -394,12 +395,11 @@ def test_ensembles_compare_by_identity():
 
 
 # SHA-256 of echo_profile output bytes for 2000 atoms x 600 times x two pulse
-# widths, with the outer nodes of weight at most QUADRATURE_TAIL_WEIGHT left
-# out (23 of 33 node curves).  With all 33 curves, the untiled kernel (one
-# (atoms x times) array per 512-time chunk) and the tiled one that replaced it
-# gave the same digest; leaving the nodes out moved no value by more than
-# 5.9e-12.
-ECHO_PROFILE_DIGEST = "7b6d34559773ccae4f20e8629d4cf2d53aeae321da7b4274f13c39b8279b8471"
+# widths (a drifting timeline), with the outer nodes of weight at most
+# QUADRATURE_TAIL_WEIGHT left out (23 of 33 node curves), from the phasor
+# recurrence kernel.  The exp-per-atom kernel it replaced gave other last bits:
+# 1196 of the 1200 values moved, by at most 4.8e-14.
+ECHO_PROFILE_DIGEST = "0b3eab967cd462aa2aed4fe53cc16c3a45957cba3fdb8a70d4f1adaf8f07063c"
 
 
 def pinned_echo_digest():
@@ -446,21 +446,30 @@ def full_rule(nodes):
     return x, w / w.sum()
 
 
-def serial_echo_reference(ens, timeline, write_time, pulse, p_int0, times, x, w):
-    """The echo profile's efficiency column as one loop over the nodes (x, w), in order."""
+def creation_times(write_time, pulse, x):
+    """The creation time of each Gauss-Hermite abscissa in ``x``."""
     sigma_t = pulse.duration_fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
+    return [write_time + math.sqrt(2.0) * sigma_t * xk for xk in x]
+
+
+def serial_echo_reference(ens, timeline, write_time, pulse, p_int0, times, x, w,
+                          curve=_efficiency_curve):
+    """The echo profile's efficiency column as one loop over the nodes (x, w), in order."""
     eff = np.zeros_like(times)
-    for xk, wk in zip(x, w):
-        t_created = write_time + math.sqrt(2.0) * sigma_t * xk
-        eff += wk * _efficiency_curve(ens, timeline, t_created, times, p_int0)
+    for t_created, wk in zip(creation_times(write_time, pulse, x), w):
+        eff += wk * curve(ens, timeline, t_created, times, p_int0)
     return eff
+
+
+# One drifting piece of the recurrence holds at most this many times.
+DRIFT_PIECE = _step_cap(3) + 1
 
 
 @settings(max_examples=30, deadline=None)
 @given(nodes=st.integers(3, 40),
        cpus=st.sampled_from([1, 2, 3, 16]),
-       n_atoms=st.sampled_from([1, ATOM_TILE, ATOM_TILE + 1]),
-       n_times=st.sampled_from([1, TIME_TILE + 1]),
+       n_atoms=st.sampled_from([1, 2, 257]),
+       n_times=st.sampled_from([1, DRIFT_PIECE, DRIFT_PIECE + 1]),
        temperature=st.sampled_from([0.0, 40e-6]),
        fwhm=st.floats(1e-9, 1.2e-6),
        seed=st.integers(0, 2**32 - 1))
@@ -553,40 +562,130 @@ def test_moving_atoms_follow_gaussian_closed_form(gradient, reverse_time, time_s
             assert np.abs(sampled - closed).max() < 3.0 / math.sqrt(n)
 
 
-def untiled_efficiency_curve(ens, timeline, write_time, times, p_int0, chunk=512):
-    """Reference kernel: the echo kernel as it was before tiling, verbatim."""
+def direct_efficiency_curve(ens, timeline, write_time, times, p_int0):
+    """Reference kernel: one exp per atom and time, ``np.exp(1j * phi).mean(axis=0)``."""
     times = np.asarray(times, dtype=float)
     a, q = _phase_coefficients(timeline, write_time, times)
     zc = ens.zeeman_coeff
-    z = ens.positions[:, None]
-    vel = ens.velocities[:, None]
-    out = np.empty_like(times)
-    for i in range(0, len(times), chunk):
-        sl = slice(i, i + chunk)
-        b = ens.k_sw * (times[sl] - write_time) + zc * q[sl]
-        ph = z * (zc * a[sl])[None, :] + vel * b[None, :]
-        out[sl] = np.abs(np.exp(1j * ph).mean(axis=0)) ** 2
-    return p_int0 * out
+    b = ens.k_sw * (times - write_time) + zc * q
+    phi = ens.positions[:, None] * (zc * a)[None, :] + ens.velocities[:, None] * b[None, :]
+    return p_int0 * np.abs(np.exp(1j * phi).mean(axis=0)) ** 2
 
 
-def edge_or_range(edges, hi):
-    return st.one_of(st.sampled_from(edges), st.integers(1, hi))
+def kernel_bound(ens, timeline, write_times, times, p_int0):
+    """Largest |kernel - direct| over curves written at ``write_times``.
+
+    The kernel's docstring bound, p_int0 delta (2 + delta) with
+    delta = 2 PHASE_TOL, plus the rounding the two evaluations share: eps
+    per radian of the largest phase, on the finite times, and eps per atom
+    for the reference's sequential mean.
+    """
+    eps = np.finfo(float).eps
+    z_max, v_max = np.abs(ens.positions).max(), np.abs(ens.velocities).max()
+    times = np.asarray(times, dtype=float)
+    times = times[np.isfinite(times)]
+    phi_max = 0.0
+    for write_time in write_times:
+        a, q = _phase_coefficients(timeline, write_time, times)
+        b = ens.k_sw * (times - write_time) + ens.zeeman_coeff * q
+        phi_max = max(phi_max, np.max(z_max * np.abs(ens.zeeman_coeff * a) + v_max * np.abs(b),
+                                      initial=0.0))
+    delta = 2 * PHASE_TOL + eps * (8 * (1 + phi_max) + 2 * ens.n_atoms)
+    return p_int0 * delta * (2 + delta)
 
 
-@settings(max_examples=40, deadline=None)
-@given(n_atoms=edge_or_range([1, 2, ATOM_TILE, ATOM_TILE + 1, 2 * ATOM_TILE + 1],
-                             3 * ATOM_TILE + 7),
-       n_times=edge_or_range([1, 2, TIME_TILE, TIME_TILE + 1, TIME_TILE + 2],
-                             2 * TIME_TILE + 3),
-       temperature=st.sampled_from([0.0, 40e-6]),
-       write_time=st.floats(-5e-7, 1.5e-6),
-       drift_rate=st.floats(-2e4, 2e4),
-       seed=st.integers(0, 2**32 - 1))
-def test_tiled_kernel_equals_untiled_reference(n_atoms, n_times, temperature, write_time,
-                                               drift_rate, seed):
-    ens = sample_ensemble(n_atoms, SIGMA_Z, temperature, seed=seed)
-    timeline = FieldTimeline.reversal(2.0, 2e-6, drift_rate=drift_rate)
-    times = np.linspace(write_time, 6e-6, n_times)
+@st.composite
+def kernel_inputs(draw):
+    """Ensemble, timeline, write time and time grid for the kernel-versus-direct test.
+
+    Reversal and freeze/release timelines, drifting or not; writes before,
+    between and after the knots; 1-3 times, the step cap's piece lengths
+    +-1, or up to 200 times; uniform, random sorted, jittered or knot-crossing
+    grids that may start before the write.
+    """
+    drift = draw(st.one_of(st.sampled_from([0.0, 2e4, -2e4]), st.floats(-2e4, 2e4)))
+    if draw(st.booleans()):
+        t_rev = draw(st.floats(2e-7, 5e-6))
+        timeline, knots = FieldTimeline.reversal(2.0, t_rev, drift_rate=drift), [0.0, t_rev]
+    else:
+        t_freeze, hold = draw(st.floats(2e-7, 3e-6)), draw(st.floats(1e-7, 3e-6))
+        timeline = FieldTimeline.freeze_release(2.0, t_freeze, t_freeze + hold, drift_rate=drift)
+        knots = [0.0, t_freeze, t_freeze + hold]
+    write_time = draw(st.floats(-1e-6, knots[-1]))
+    cap = _step_cap(3 if drift else 2)
+    n_times = draw(st.one_of(st.integers(1, 3), st.sampled_from([cap, cap + 1, cap + 2]),
+                             st.integers(4, 200)))
+    t0 = draw(st.floats(write_time - 1e-6, knots[-1] + 2e-6))
+    span = draw(st.floats(1e-9, 1e-5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = draw(st.sampled_from(["uniform", "sorted", "jittered", "knots"]))
+    if grid == "uniform":
+        times = np.linspace(t0, t0 + span, n_times)
+    elif grid == "sorted":
+        times = np.sort(rng.uniform(t0, t0 + span, n_times))
+    elif grid == "jittered":
+        # misses of the piece polynomial from rounding level up to past PHASE_TOL
+        jitter = span / n_times * 10.0 ** -draw(st.integers(6, 15))
+        times = np.linspace(t0, t0 + span, n_times) + rng.normal(0.0, jitter, n_times)
+    else:
+        times = np.sort(np.concatenate([
+            np.linspace(write_time - 5e-7, knots[-1] + 1e-6, n_times), knots, [write_time]]))
+    ens = sample_ensemble(draw(st.one_of(st.integers(1, 3), st.integers(4, 300))),
+                          draw(st.sampled_from([0.0, SIGMA_Z])),
+                          draw(st.sampled_from([0.0, 40e-6])),
+                          seed=draw(st.integers(0, 2**32 - 1)))
+    return ens, timeline, write_time, times
+
+
+@settings(max_examples=300, deadline=None)
+@given(inputs=kernel_inputs())
+def test_kernel_within_bound_of_direct(inputs):
+    ens, timeline, write_time, times = inputs
     got = _efficiency_curve(ens, timeline, write_time, times, 0.37)
-    want = untiled_efficiency_curve(ens, timeline, write_time, times, 0.37)
-    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    want = direct_efficiency_curve(ens, timeline, write_time, times, 0.37)
+    assert np.abs(got - want).max() <= kernel_bound(ens, timeline, [write_time], times, 0.37)
+    if len(times) == 1:
+        # a single time is an anchor: the direct evaluation's bits
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_pieces_end_at_the_step_cap(order):
+    # Inside one segment the phase is one polynomial, and at a weak gradient
+    # the rounding of its differences stays far below PHASE_TOL, so only the
+    # cap ends pieces.
+    cap = _step_cap(order)
+    timeline = FieldTimeline(((0.0, 0.02),), drift_rate=2e4 if order == 3 else 0.0)
+    times = np.linspace(1e-6, 3e-6, 2 * (cap + 1) + 3)
+    a, q = _phase_coefficients(timeline, 0.0, times)
+    za, b = ZEEMAN_COEFF_DEFAULT * a, K_SW_DEFAULT * times + ZEEMAN_COEFF_DEFAULT * q
+    pieces = [(start, length) for start, length, *_ in _pieces(za, b, 4e-3, 0.3, order)]
+    assert pieces == [(0, cap + 1), (cap + 1, cap + 1), (2 * cap + 2, 3)]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("pos", [0, 1, 2, 3, 40, 79])
+@pytest.mark.parametrize("drift_rate", [0.0, 2e4])
+def test_non_finite_time_stays_local(bad, pos, drift_rate):
+    # A non-finite time gives a non-finite value there, as the direct
+    # evaluation does, and nowhere else: its NaN deviation ends the piece
+    # before it, and it starts a piece of one time.
+    ens = sample_ensemble(50, SIGMA_Z, 40e-6, seed=3)
+    timeline = FieldTimeline.reversal(2.0, 2e-6, drift_rate=drift_rate)
+    times = np.linspace(2.5e-6, 5.5e-6, 80)
+    times[pos] = bad
+    rest = np.arange(len(times)) != pos
+    pulse, p_int0 = PulseSpec(266e-9), 0.4
+    got = _efficiency_curve(ens, timeline, 0.0, times, p_int0)
+    want = direct_efficiency_curve(ens, timeline, 0.0, times, p_int0)
+    assert np.flatnonzero(~np.isfinite(want)).tolist() == [pos]
+    assert np.flatnonzero(~np.isfinite(got)).tolist() == [pos]
+    assert np.abs(got - want)[rest].max() <= kernel_bound(ens, timeline, [0.0], times, p_int0)
+    x, w = _creation_nodes(5)
+    profile = echo_profile(ens, timeline, 0.0, pulse, p_int0, times, nodes=5)[:, 1]
+    direct = serial_echo_reference(ens, timeline, 0.0, pulse, p_int0, times, x, w,
+                                   curve=direct_efficiency_curve)
+    assert np.flatnonzero(~np.isfinite(profile)).tolist() == [pos]
+    bound = kernel_bound(ens, timeline, creation_times(0.0, pulse, x), times, p_int0)
+    assert np.abs(profile - direct)[rest].max() <= bound
