@@ -275,8 +275,12 @@ def run_trials(
         n_photons = np.zeros(size, dtype=np.int64)
         n_photons[rt] = ph
 
-        # Splitter: binomial split of each reading trial's photons.
-        n_a = rng.binomial(n_photons, 0.5)
+        # Splitter: binomial split of each reading trial's photons.  A
+        # binomial with n = 0 draws nothing, so skipping the trials without
+        # photons leaves the Philox stream as it is.
+        n_a = np.zeros(size, dtype=np.int64)
+        lit = np.flatnonzero(n_photons)
+        n_a[lit] = rng.binomial(n_photons[lit], 0.5)
         n_b = n_photons - n_a
 
         tally.n_trials += size

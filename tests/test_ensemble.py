@@ -489,6 +489,61 @@ def test_threaded_echo_profile_equals_serial_node_sum(nodes, cpus, n_atoms, n_ti
     np.testing.assert_array_equal(got[:, 1].view(np.int64), want.view(np.int64))
 
 
+EMPTY = np.empty
+
+
+def inf_empty(*args, **kwargs):
+    """``np.empty`` whose memory starts as inf, the worst that stale memory can hold."""
+    out = EMPTY(*args, **kwargs)
+    out.fill(complex(math.inf, math.inf) if out.dtype.kind == "c" else math.inf)
+    return out
+
+
+# Each stacking grid lets the rows' pieces differ: nodes created inside the
+# grid, a grid across the reversal knot at 2 us, and (with drift) pieces
+# that end at other times for each creation time.
+STACKING_GRIDS = {"echo": (2.5e-6, 5.5e-6), "created": (-6e-7, 1.5e-6), "knot": (1e-6, 3e-6)}
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in exp:RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(1, 5),
+       cpus=st.sampled_from([1, 2, 3]),
+       nodes=st.integers(3, 17),
+       n_atoms=st.one_of(st.just(1), st.integers(2, 40)),
+       drift_rate=st.sampled_from([-2e4, 0.0, 2e4]),
+       grid=st.sampled_from(sorted(STACKING_GRIDS)),
+       n_times=st.sampled_from([1, 2, DRIFT_PIECE + 1, 40]),
+       nan_at=st.one_of(st.none(), st.integers(0, 39)),
+       fwhm=st.floats(1e-9, 1.2e-6),
+       seed=st.integers(0, 2**32 - 1))
+def test_stacked_node_curves_keep_each_nodes_bits(rows, cpus, nodes, n_atoms, drift_rate,
+                                                   grid, n_times, nan_at, fwhm, seed):
+    # The row budget is cut to ``rows`` curves per task, so that small
+    # ensembles stack too, with partial last groups.  Every np.empty starts
+    # as inf: a lockstep multiply that read a chain level its row never
+    # wrote would raise an invalid-value warning, which fails the test.
+    ens = sample_ensemble(n_atoms, SIGMA_Z, 40e-6, seed=seed)
+    timeline = FieldTimeline.reversal(2.0, 2e-6, drift_rate=drift_rate)
+    times = np.linspace(*STACKING_GRIDS[grid], n_times)
+    if nan_at is not None and nan_at < n_times:
+        times[nan_at] = math.nan
+    pulse, p_int0 = PulseSpec(fwhm), 0.4
+    x, w = _creation_nodes(nodes)
+    created = creation_times(0.0, pulse, x)
+    with mock.patch.object(ensemble, "ROW_ELEMENTS", rows * n_atoms), \
+            mock.patch.object(ensemble, "_usable_cpus", lambda: cpus), \
+            mock.patch.object(np, "empty", inf_empty):
+        got = echo_profile(ens, timeline, 0.0, pulse, p_int0, times, nodes=nodes)[:, 1]
+        block = _efficiency_curve(ens, timeline, created[:rows], times, p_int0)
+    want = serial_echo_reference(ens, timeline, 0.0, pulse, p_int0, times, x, w)
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    assert block.shape == (min(rows, len(created)), n_times)
+    for row, t_created in zip(block, created):
+        single = _efficiency_curve(ens, timeline, t_created, times, p_int0)
+        np.testing.assert_array_equal(row.view(np.int64), single.view(np.int64))
+
+
 @pytest.mark.parametrize("nodes, kept", [(3, 3), (9, 9), (17, 15), (25, 19), (33, 23), (65, 33)])
 def test_creation_nodes_drop_outer_pairs(nodes, kept):
     x, w = _creation_nodes(nodes)
