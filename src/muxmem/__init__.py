@@ -50,6 +50,7 @@ from .ensemble import (
     NoRephasingError,
     collective_efficiency,
     echo_profile,
+    echo_profiles,
     rephasing_time,
     sample_ensemble,
 )

@@ -16,12 +16,8 @@ and the Zeeman coefficient in Hz per gauss.
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,164 +183,140 @@ def collective_efficiency(
               + 2 pi zc [bias (t - t_w) + integral A(t')(1 + d t') z_j(t') dt']
 
     with the atom coasting from its write-time position,
-    z_j(t') = z_j + v_j (t' - t_w).  One time point of the echo kernel
-    ``_efficiency_curve``; the spatially uniform bias only adds a global
-    phase and drops out.  A single time is an anchor of the kernel, so each
-    phasor is the direct ``exp(i phi_j)`` and the result has the bits of
-    ``p_int0 * abs(np.exp(1j * phi).mean()) ** 2``.
+    z_j(t') = z_j + v_j (t' - t_w).  The spatially uniform bias only adds a
+    global phase and drops out.  Evaluated directly, with the bits of
+    ``p_int0 * np.abs(np.exp(1j * phi).mean(axis=0)) ** 2`` on a one-time
+    grid (a scalar ``** 2`` can round differently from the array square).
     """
     if time < write_time:
         raise ValueError("time must be >= write_time")
-    return float(_efficiency_curve(ens, timeline, write_time, [time], p_int0)[0])
+    a, q = _phase_coefficients(timeline, write_time, np.array([time], dtype=float))
+    zc = ens.zeeman_coeff
+    b = ens.k_sw * (time - write_time) + zc * q[0]
+    phi = ens.positions * (zc * a[0]) + ens.velocities * b
+    return float((p_int0 * np.abs(np.exp(1j * phi).mean(keepdims=True)) ** 2)[0])
 
 
-#: Largest phase error (rad) per atom and time that the echo kernel's phasor
-#: recurrence may add, once for the polynomial it follows and once for its
-#: rounding (see ``_efficiency_curve``).
+#: Largest phase error (rad) per atom, readout time and creation time that
+#: the echo kernel's truncated Taylor series may leave (see ``_node_curves``).
 PHASE_TOL = 1e-12
 
+#: Largest bound (rad) on the coupling phase over which one group of creation
+#: times is expanded; wider spreads are split into groups (``_node_curves``).
+_GROUP_PHASE = 0.5
 
-@functools.cache
-def _step_cap(order: int) -> int:
-    """Most recurrence steps after an anchor whose rounding stays within ``PHASE_TOL``.
+#: Atoms per chunk of the echo kernel's matrix products (``_atom_sums``).
+#: Chunk products are added in atom order, so the chunk fixes the bits; they
+#: were the same on one and two BLAS threads at 64 to 1024 atoms.  At 128 the
+#: default ``echo`` run peaks at 41.5-41.9 MB; 256, 512 and 1024 atoms peaked
+#: 1, 4 and 10 MB higher and ran at most 4% faster, and 64 ran 7% slower
+#: (2 vCPU, numpy 2.4.6, OpenBLAS 0.3.31).
+ECHO_CHUNK = 128
 
-    Each anchor ``exp`` and each complex multiply errs by at most eps
-    (relative), and a step adds level k + 1's error to level k's, so after n
-    steps a chain of order K errs by at most eps (1 + 2 sum_{i=1..K} C(n, i)),
-    about eps n^2 for K = 2.  That is 66 steps for K = 2 and 23 for K = 3.
+
+def _taylor_terms(bound: float) -> int:
+    """Least K with bound^K / K! <= ``PHASE_TOL``: the terms e^{i eps} needs."""
+    k, term = 1, bound
+    while term > PHASE_TOL:
+        k += 1
+        term *= bound / k
+    return k
+
+
+def _cis(phase):
+    """exp(i phase) for a real array, from its cosine and sine."""
+    out = np.empty(phase.shape, dtype=complex)
+    np.cos(phase, out=out.real)
+    np.sin(phase, out=out.imag)
+    return out
+
+
+def _atom_sums(ens, a, b, c, d, u, x, terms):
+    """sum_j exp(i (z_j a_n + v_j b_n - z_j c_k - v_j d_k)) exp(i v_j u_k x_n) for each (n, k).
+
+    The coupling factor is expanded in ``terms`` Taylor terms, so the sum is
+    sum_m x_n^m sum_j L[n, j] R_m[j, k] with L = exp(i (z a + v b)) and
+    R_m = exp(-i (z c + v d)) (i v u)^m / m!, evaluated by Horner's rule in x.
+    The atom sums are complex matrix products over ``ECHO_CHUNK`` atoms at a
+    time, added in atom order.
     """
-    eps = np.finfo(float).eps
-    n = 0
-    while eps * (1 + 2 * sum(math.comb(n + 1, i) for i in range(1, order + 1))) <= PHASE_TOL:
-        n += 1
-    return n
-
-
-def _pieces(za, b, z_max, v_max, order):
-    """Split the time grid into pieces on which the phasor recurrence holds.
-
-    Yields (start, length, za table, b table) per piece.  A table holds the
-    forward differences of ``za`` (or ``b``) at the piece's start, up to
-    ``order``; the recurrence follows the Newton polynomial
-    c_0 + m c_1 + C(m, 2) c_2 + ... they define at step m.  A piece ends at
-    the first time where that polynomial misses any atom's phase
-    z za + v b by more than ``PHASE_TOL``, bounded over the atoms by
-    ``z_max |dza| + v_max |db|``, or after ``_step_cap(order)`` steps.  The
-    test is NaN-safe: a NaN deviation ends the piece, so a non-finite time is
-    a piece of its own and its phasors never reach another time.
-    """
-    cap = _step_cap(order)
-    start = 0
-    while start < len(za):
-        span = min(cap + 1, len(za) - start)
-        m = np.arange(span, dtype=float)
-        tables, dev = [], 0.0
-        for scale, c in ((z_max, za), (v_max, b)):
-            window = c[start:start + order + 1]
-            table = [window[0]]
-            for _ in range(len(window) - 1):
-                window = np.diff(window)
-                table.append(window[0])
-            poly, binom = np.full(span, table[0]), np.ones(span)
-            for k, ck in enumerate(table[1:], 1):
-                binom = binom * (m - k + 1) / k
-                poly += binom * ck
-            dev = dev + scale * np.abs(poly - c[start:start + span])
-            tables.append(table)
-        miss = np.flatnonzero(~(dev <= PHASE_TOL))
-        length = max(1, miss[0]) if miss.size else span
-        yield start, length, *tables
-        start += length
-
-
-def _efficiency_curve(ens, timeline, write_time, times, p_int0):
-    """Collective efficiency p_int0 |mean_j exp(i phi_j(t))|^2 on a time grid.
-
-    Atom j's phase at time t_n is phi_j(t_n) = z_j ZA_n + v_j B_n, with
-    ZA = zc a and B = k_sw (t - t_w) + zc q from ``_phase_coefficients``; the
-    bias is a global phase and is left out.  Between the timeline's knots
-    and the write time, ZA and B are polynomials in t of degree 2 (3 with
-    drift), so on a uniform grid the phasors follow a recurrence in the time
-    index n:
-
-        e_{n+1} = e_n d_n,   d_{n+1} = d_n s   (with drift also s_{n+1} = s_n c)
-
-    where e_n = exp(i phi_j(t_n)) and d, s, c are the phasors of the phase's
-    first, second and third forward differences.  ``_pieces`` splits the grid
-    into pieces; at the start of each (the anchor) the chain comes directly
-    from ``exp``, and each later time costs one complex multiply per chain
-    level over the atom vector and one sum, not an ``exp``.  Knots, the
-    write time, a non-uniform grid and non-finite times end pieces by
-    themselves, and a single time is just an anchor.
-
-    ``write_time`` may also be a sequence: then each write time is a row of
-    the result, of shape (rows, len(times)), and the rows advance in
-    lockstep.  Each time costs one multiply per chain level and one
-    ``np.add.reduce`` over a (rows x atoms) block, so that numpy's calls are
-    long enough for threads to overlap (see ``ROW_ELEMENTS``).  Each row
-    keeps its own pieces and is re-anchored, one row at a time, only at its
-    own piece starts.  There the chain levels its piece does not use are set
-    to 1, so the lockstep multiplies leave its used levels as they are and
-    never read memory the kernel did not write.  Each row therefore gets
-    the bits of its own single-row call.  (A lone atom runs its rows one at
-    a time: numpy multiplies a length-1 vector in place by its scalar loop
-    but a (rows x 1) block by its vector loop, and the two round
-    differently.)
-
-    Error bound: on a piece the recurrence's polynomial misses each atom's
-    phase by at most ``PHASE_TOL`` and its rounding adds at most
-    ``PHASE_TOL`` more (``_step_cap``), so each phasor lies within
-    delta = 2 ``PHASE_TOL`` of exp(i phi_j), plus rounding of order
-    eps (1 + |phi_j|) that direct evaluation shares.  The mean phasor then
-    moves by at most delta and the efficiency by at most
-    p_int0 delta (2 + delta), about 4e-12 p_int0.
-
-    Each time's phasors are summed pairwise (``np.add.reduce`` over the atom
-    axis) and the sum is divided by the atom count as ``np.mean`` divides
-    it, so an anchor's value has the bits of the direct evaluation.
-    """
-    if np.ndim(write_time) == 0:
-        return _efficiency_curve(ens, timeline, [write_time], times, p_int0)[0]
-    if ens.n_atoms == 1 and len(write_time) > 1:
-        return np.stack([_efficiency_curve(ens, timeline, tw, times, p_int0)
-                         for tw in write_time])
-    times = np.asarray(times, dtype=float)
     z, v = ens.positions, ens.velocities
-    z_max, v_max = np.abs(z).max(), np.abs(v).max()
-    zc = ens.zeeman_coeff
-    order = 3 if timeline.drift_rate else 2
-    rows = len(write_time)
-    # anchors[n]: (row, levels, za table, b table) of each piece starting at time n
-    anchors = [[] for _ in times]
-    for r, tw in enumerate(write_time):
-        a, q = _phase_coefficients(timeline, tw, times)
-        za = zc * a
-        b = ens.k_sw * (times - tw) + zc * q
-        for start, length, za_table, b_table in _pieces(za, b, z_max, v_max, order):
-            anchors[start].append((r, min(order, length - 1) + 1, za_table, b_table))
-    phase = np.zeros(ens.n_atoms, dtype=complex)  # real part stays +0, as in 1j * phi
-    im = phase.imag
-    vb = np.empty(ens.n_atoms)
-    # One (rows x atoms) array per chain level, not one block for all levels:
-    # with a single-row chain held as one block, the trial-engine runs that
-    # followed in the same process measured about 15% slower.
-    chain = [np.empty((rows, ens.n_atoms), dtype=complex) for _ in range(order + 1)]
-    acc = np.empty((rows, len(times)), dtype=complex)
-    for n, anchored in enumerate(anchors):
-        if len(anchored) < rows:
-            for k in range(order):
-                np.multiply(chain[k], chain[k + 1], out=chain[k])
-        for r, levels, za_table, b_table in anchored:
-            for k in range(levels):
-                np.multiply(z, za_table[k], out=im)
-                np.multiply(v, b_table[k], out=vb)
-                np.add(im, vb, out=im)
-                np.exp(phase, out=chain[k][r])
-            for k in range(levels, order + 1):
-                chain[k][r] = 1.0
-        np.add.reduce(chain[0], axis=1, out=acc[:, n])
-    np.true_divide(acc, ens.n_atoms, out=acc, casting="unsafe")
-    return p_int0 * np.abs(acc) ** 2
+    steps = [1j * u / m for m in range(1, terms)]
+    acc = np.zeros((terms, len(a), len(c)), dtype=complex)
+    for lo in range(0, ens.n_atoms, ECHO_CHUNK):
+        zj, vj = z[lo:lo + ECHO_CHUNK], v[lo:lo + ECHO_CHUNK]
+        phase = np.multiply.outer(a, zj)
+        phase += np.multiply.outer(b, vj)
+        left = _cis(phase)
+        phase = np.multiply.outer(zj, -c)
+        phase -= np.multiply.outer(vj, d)
+        right = _cis(phase)
+        acc[0] += left @ right
+        for m, step in enumerate(steps, 1):
+            right *= np.multiply.outer(vj, step)
+            acc[m] += left @ right
+    out = acc[-1]
+    for m in range(terms - 2, -1, -1):
+        out = out * x[:, None] + acc[m]
+    return out
+
+
+def _node_curves(ens, timeline, created, times, p_int0):
+    """Collective efficiency of each creation time at each readout time.
+
+    Returns an array of shape (len(times), len(created)).  For a readout
+    t_n >= t_k, the creation time, atom j's phase is
+
+        phi = zc z_j (P_n - P_k)
+            + v_j [k_sw (t_n - t_k) + zc (Q_n - Q_k) - zc (t_k - t_0) (P_n - P_k)]
+
+    with P and Q from ``_phase_coefficients`` taken from t_0, the earliest
+    creation time.  With t_k = tbar + tau_k about the centre tbar of the
+    creation times and x_n = P_n - c about the midrange c of P over the
+    finite readouts, phi = alpha_j(t_n) - delta_j(t_k) + eps, where
+    eps = -zc v_j tau_k x_n is the only term that couples n and k (the model
+    takes z_j as each node's position at its own creation).  ``_atom_sums``
+    expands exp(i eps) in K terms, the least with |eps|^K / K! <=
+    ``PHASE_TOL``, so each phasor lies within ``PHASE_TOL`` of exp(i phi) and
+    the efficiency within about p_int0 PHASE_TOL (2 + PHASE_TOL) of the
+    direct evaluation, plus rounding both share.  Where |eps| could exceed
+    ``_GROUP_PHASE``, the creation times are split into groups, each about
+    its own centre.  A readout before its node's creation has the motional
+    phase k_sw v_j (t_n - t_k) alone (``_phase_coefficients`` clips there),
+    which separates exactly and takes one more product.  A non-finite time
+    gives a non-finite row and is left out of the bound on eps.
+    """
+    times = np.asarray(times, dtype=float)
+    created = np.asarray(created, dtype=float)
+    zc, k_sw = ens.zeeman_coeff, ens.k_sw
+    t0 = created.min()
+    p_n, q_n = _phase_coefficients(timeline, t0, times)
+    p_k, q_k = _phase_coefficients(timeline, t0, created)
+    s_n, s_k = times - t0, created - t0
+    finite = p_n[np.isfinite(p_n)]
+    c = (finite.max() + finite.min()) / 2.0 if finite.size else 0.0
+    # |eps| <= |tau_k| coupling on the finite readouts
+    coupling = zc * np.abs(ens.velocities).max() * np.abs(finite - c).max(initial=0.0)
+    # Groups of creation times spanning 2 _GROUP_PHASE / coupling or less.
+    group = np.floor((s_k - s_k.min()) * coupling / (2.0 * _GROUP_PHASE))
+    mean = np.empty((len(times), len(created)), dtype=complex)
+    for g in np.unique(group):
+        cols = np.flatnonzero(group == g)
+        sk, pk = s_k[cols], p_k[cols]
+        centre = (sk.max() + sk.min()) / 2.0
+        tau = sk - centre
+        mean[:, cols] = _atom_sums(
+            ens, zc * p_n, k_sw * s_n + zc * q_n - zc * centre * p_n,
+            zc * pk, k_sw * sk + zc * q_k[cols] - zc * sk * pk + zc * tau * c,
+            -zc * tau, p_n - c, _taylor_terms(np.abs(tau).max() * coupling))
+    before = times[:, None] < created
+    rows, cols = np.flatnonzero(before.any(axis=1)), np.flatnonzero(before.any(axis=0))
+    if rows.size:
+        n, k = np.zeros(len(rows)), np.zeros(len(cols))
+        pre = _atom_sums(ens, n, k_sw * s_n[rows], k, k_sw * s_k[cols], k, n, 1)
+        block = np.ix_(rows, cols)
+        mean[block] = np.where(before[block], pre, mean[block])
+    return p_int0 * np.abs(mean / ens.n_atoms) ** 2
 
 
 #: Window after the write (s) in which :func:`rephasing_time` seeks the echo.
@@ -454,6 +426,57 @@ def _brentq(f, a, fa, b, xtol):
     raise RuntimeError(f"brentq failed to converge after 100 iterations, value is {xcur}")
 
 
+def echo_profiles(
+    ens: AtomEnsemble,
+    timeline: FieldTimeline,
+    write_time: float,
+    pulses,
+    p_int0: float,
+    times,
+    nodes: int = 33,
+) -> list:
+    """Retrieval-efficiency profiles of spin waves created by finite pulses, one per pulse.
+
+    Creation times are distributed over each write pulse's Gaussian
+    intensity envelope (FWHM ``pulse.duration_fwhm``, centred on
+    ``write_time``); a profile is the envelope-weighted average of the
+    single-creation-time efficiency, evaluated by Gauss-Hermite quadrature
+    with ``nodes`` nodes (33 by default).  The outermost nodes are left out in
+    symmetric pairs while their total normalized weight stays at most
+    ``QUADRATURE_TAIL_WEIGHT`` (see ``_creation_nodes``): 23 of the default
+    33 node curves are computed per pulse.  The kept weights are not
+    renormalized, so a profile differs from the full rule's by at most
+    ``p_int0`` times the dropped weight, at most 1e-10 ``p_int0``.
+
+    The node curves of all pulses come from one pass over the atoms, as
+    complex matrix products that share the costly readout-time factor (see
+    ``_node_curves``).  Each curve, and so each profile, lies within about
+    2 ``PHASE_TOL`` ``p_int0`` of the direct evaluation.  Atom chunks and
+    nodes are summed in a fixed order, so the bits do not depend on the
+    number of CPUs or BLAS threads; they do depend on numpy's BLAS build,
+    and on the other pulses of the call, which set the expansion's centre.
+
+    Returns a list with one array per pulse, each of shape (len(times), 2)
+    with columns (time, efficiency).
+    """
+    if nodes < 3:
+        raise ValueError("need at least 3 quadrature nodes")
+    times = np.asarray(times, dtype=float)
+    x, w = _creation_nodes(nodes)
+    created = []
+    for pulse in pulses:
+        sigma_t = pulse.duration_fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
+        created += [write_time + math.sqrt(2.0) * sigma_t * xk for xk in x]
+    curves = _node_curves(ens, timeline, created, times, p_int0)
+    profiles = []
+    for lo in range(0, len(created), len(x)):
+        eff = np.zeros_like(times)
+        for wk, k in zip(w, range(lo, lo + len(x))):
+            eff += wk * curves[:, k]
+        profiles.append(np.column_stack([times, eff]))
+    return profiles
+
+
 def echo_profile(
     ens: AtomEnsemble,
     timeline: FieldTimeline,
@@ -463,65 +486,12 @@ def echo_profile(
     times,
     nodes: int = 33,
 ) -> np.ndarray:
-    """Retrieval-efficiency profile for a spin wave created by a finite pulse.
+    """Retrieval-efficiency profile of a spin wave created by one finite pulse.
 
-    Creation times are distributed over the write pulse's Gaussian intensity
-    envelope (FWHM ``pulse.duration_fwhm``, centred on ``write_time``); the
-    profile is the envelope-weighted average of the single-creation-time
-    efficiency, evaluated by Gauss-Hermite quadrature with ``nodes`` nodes
-    (33 by default).  The outermost nodes are left out in symmetric pairs
-    while their total normalized weight stays at most
-    ``QUADRATURE_TAIL_WEIGHT`` (see ``_creation_nodes``): 23 of the default
-    33 node curves are computed, and all 9 of a 9-node rule.  The kept
-    weights are not renormalized, and each curve lies in [0, ``p_int0``] (up
-    to the kernel's bound below), so the profile differs from the full
-    rule's by at most ``p_int0`` times the dropped weight, at most 1e-10
-    ``p_int0``.
-
-    Each node's curve comes from the phasor recurrence of
-    ``_efficiency_curve``: an ``exp`` per atom only at the anchor of each
-    piece of the time grid, then complex multiplies.  Each phasor stays
-    within 2 ``PHASE_TOL`` of exp(i phi_j), so each curve, and with weights
-    summing to at most 1 the profile, lies within about 4 ``PHASE_TOL``
-    ``p_int0`` (4e-12 ``p_int0``) of the direct evaluation.
-
-    The node curves are independent, so they run on a thread pool with one
-    worker per usable CPU.  Each task is a group of consecutive kept nodes
-    whose curves ``_efficiency_curve`` advances in lockstep as the rows of
-    one (rows x atoms) block (see ``ROW_ELEMENTS``): numpy releases the GIL
-    inside each call, but calls on a single 1e4-atom vector are too short
-    for two threads to overlap.  Each row has the bits of its node's own
-    curve, and the weighted curves are summed in node order, so the result
-    has the same bits on any number of CPUs.
-
-    Returns an array of shape (len(times), 2) with columns (time, efficiency).
+    ``echo_profiles`` for the single pulse; see there.  Returns an array of
+    shape (len(times), 2) with columns (time, efficiency).
     """
-    if nodes < 3:
-        raise ValueError("need at least 3 quadrature nodes")
-    times = np.asarray(times, dtype=float)
-    sigma_t = pulse.duration_fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
-    x, w = _creation_nodes(nodes)
-    created = [write_time + math.sqrt(2.0) * sigma_t * xk for xk in x]
-    cpus = _usable_cpus()
-    # Nodes per task: the ROW_ELEMENTS budget, at most an even share per worker.
-    size = max(1, min(ROW_ELEMENTS // ens.n_atoms, math.ceil(len(created) / cpus)))
-    groups = [created[i:i + size] for i in range(0, len(created), size)]
-    eff = np.zeros_like(times)
-    with ThreadPoolExecutor(min(len(groups), cpus)) as pool:
-        blocks = pool.map(lambda g: _efficiency_curve(ens, timeline, g, times, p_int0), groups)
-        for wk, curve in zip(w, itertools.chain.from_iterable(blocks)):
-            eff += wk * curve
-    return np.column_stack([times, eff])
-
-
-#: Atom phasors per chain level (rows x atoms) that one ``echo_profile`` task
-#: steps in lockstep: 3 node curves at 1e4 atoms.  Two threads issuing complex
-#: multiplies over 1e4 elements got 1.1x the throughput of one (2 vCPU,
-#: numpy 2.4.6), over 4e4 elements 1.6x.  Larger blocks measured slower: the
-#: default ``echo`` profiles took 0.58 s at this budget, 0.75 s at twice it
-#: (perhaps because the chain levels no longer fit the 2 MB per-core cache)
-#: and 0.80 s at one node per task.
-ROW_ELEMENTS = 2**15
+    return echo_profiles(ens, timeline, write_time, [pulse], p_int0, times, nodes)[0]
 
 
 #: Largest total normalized weight of the outer Gauss-Hermite nodes that
@@ -546,10 +516,3 @@ def _creation_nodes(nodes: int):
            and w[:drop + 1].sum() + w[nodes - drop - 1:].sum() <= QUADRATURE_TAIL_WEIGHT):
         drop += 1
     return x[drop:nodes - drop], w[drop:nodes - drop]
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity set, else the machine's count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1

@@ -25,14 +25,13 @@ has the same bits on any number of CPUs.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .ensemble import (
-    AtomEnsemble, FieldTimeline, _usable_cpus, collective_efficiency, rephasing_time,
-)
+from .ensemble import AtomEnsemble, FieldTimeline, collective_efficiency, rephasing_time
 from .model import MemoryParams
 
 #: Trials per RNG block.  Fixed: it is part of the determinism contract.
@@ -45,6 +44,13 @@ _DRAW_CHUNK = 2 ** 15
 #: normalization passes), or read mode (trial index mod n_modes) every trial.
 FEED_FORWARD = "feed_forward"
 CYCLE = "cycle"
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True, eq=False)

@@ -28,7 +28,7 @@ from .config import ScenarioConfig
 from .ensemble import (
     AtomEnsemble,
     FieldTimeline,
-    echo_profile,
+    echo_profiles,
     rephasing_time,
     sample_ensemble,
 )
@@ -162,11 +162,12 @@ def _scenario_echo(cfg):
         bias=sch.bias, drift_rate=sch.drift_rate)
     times = np.linspace(cfg.options["time_start_s"], cfg.options["time_stop_s"],
                         cfg.options["n_points"])
+    durations = cfg.options["durations_s"]
+    pulses = [replace(cfg.pulse, duration_fwhm=dur) for dur in durations]
+    profiles = echo_profiles(ens, timeline, 0.0, pulses, cfg.memory.p_int0, times)
     rows = []
     peaks = {}
-    for dur in cfg.options["durations_s"]:
-        pulse = replace(cfg.pulse, duration_fwhm=dur)
-        profile = echo_profile(ens, timeline, 0.0, pulse, cfg.memory.p_int0, times)
+    for dur, profile in zip(durations, profiles):
         rows.extend((float(t), dur, float(e)) for t, e in profile)
         peaks[repr(dur)] = float(profile[:, 1].max())
     summary = {

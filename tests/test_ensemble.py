@@ -19,6 +19,7 @@ import muxmem
 from muxmem import cavity, ensemble, repeater
 from muxmem.ensemble import (
     ATOM_MASS,
+    ECHO_CHUNK,
     K_SW_DEFAULT,
     PHASE_TOL,
     QUADRATURE_TAIL_WEIGHT,
@@ -28,13 +29,12 @@ from muxmem.ensemble import (
     NoRephasingError,
     collective_efficiency,
     echo_profile,
+    echo_profiles,
     rephasing_time,
     sample_ensemble,
     _creation_nodes,
-    _efficiency_curve,
+    _node_curves,
     _phase_coefficients,
-    _pieces,
-    _step_cap,
 )
 from muxmem.cavity import PulseSpec
 
@@ -396,10 +396,10 @@ def test_ensembles_compare_by_identity():
 
 # SHA-256 of echo_profile output bytes for 2000 atoms x 600 times x two pulse
 # widths (a drifting timeline), with the outer nodes of weight at most
-# QUADRATURE_TAIL_WEIGHT left out (23 of 33 node curves), from the phasor
-# recurrence kernel.  The exp-per-atom kernel it replaced gave other last bits:
-# 1196 of the 1200 values moved, by at most 4.8e-14.
-ECHO_PROFILE_DIGEST = "0b3eab967cd462aa2aed4fe53cc16c3a45957cba3fdb8a70d4f1adaf8f07063c"
+# QUADRATURE_TAIL_WEIGHT left out (23 of 33 node curves), from the
+# matrix-product echo kernel.  The phasor recurrence it replaced gave other
+# last bits: 1195 of the 1200 values moved, by at most 4.9e-14.
+ECHO_PROFILE_DIGEST = "50bb36bc4136e53ec9d6b791c39abab5a0fde6fa55d24e075168d9f3dccd67bf"
 
 
 def pinned_echo_digest():
@@ -417,11 +417,13 @@ def test_echo_profile_bytes_pinned():
     assert pinned_echo_digest() == ECHO_PROFILE_DIGEST
 
 
-# The child pins itself to one CPU (only its own process), so echo_profile
-# sizes its pool to one worker there, then prints the pinned digest.
-ONE_CPU_CHILD = """
+# The child prints the pinned digest, after pinning itself to one CPU (only
+# its own process) when asked to.  Unpinned, it runs under the environment it
+# is given, such as OPENBLAS_NUM_THREADS=1.
+DIGEST_CHILD = """
 import os, sys
-os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+if sys.argv[2] == "pin":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 sys.path.insert(0, sys.argv[1])
 from test_ensemble import pinned_echo_digest
 print(len(os.sched_getaffinity(0)), pinned_echo_digest())
@@ -431,13 +433,19 @@ print(len(os.sched_getaffinity(0)), pinned_echo_digest())
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
                     reason="os.sched_setaffinity is not available")
 def test_echo_profile_same_bits_on_one_cpu():
+    # The echo kernel's matrix products run in numpy's BLAS, which threads
+    # them over the CPUs it finds; the bits must not depend on that.
     src = str(Path(muxmem.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", ONE_CPU_CHILD, str(Path(__file__).parent)],
-                          capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["1", ECHO_PROFILE_DIGEST]
+    for mode, extra, cpus in (("pin", {}, "1"),
+                              ("free", {"OPENBLAS_NUM_THREADS": "1"},
+                               str(len(os.sched_getaffinity(0))))):
+        proc = subprocess.run(
+            [sys.executable, "-c", DIGEST_CHILD, str(Path(__file__).parent), mode],
+            capture_output=True, text=True, env={**env, **extra})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [cpus, ECHO_PROFILE_DIGEST]
 
 
 def full_rule(nodes):
@@ -452,96 +460,102 @@ def creation_times(write_time, pulse, x):
     return [write_time + math.sqrt(2.0) * sigma_t * xk for xk in x]
 
 
-def serial_echo_reference(ens, timeline, write_time, pulse, p_int0, times, x, w,
-                          curve=_efficiency_curve):
+def direct_efficiency_curve(ens, timeline, write_time, times, p_int0):
+    """Reference kernel: one exp per atom and time, ``np.exp(1j * phi).mean(axis=0)``."""
+    times = np.asarray(times, dtype=float)
+    a, q = _phase_coefficients(timeline, write_time, times)
+    zc = ens.zeeman_coeff
+    b = ens.k_sw * (times - write_time) + zc * q
+    phi = ens.positions[:, None] * (zc * a)[None, :] + ens.velocities[:, None] * b[None, :]
+    return p_int0 * np.abs(np.exp(1j * phi).mean(axis=0)) ** 2
+
+
+def direct_node_curves(ens, timeline, write_times, times, p_int0):
+    """``direct_efficiency_curve`` of each write time, as the columns of one array."""
+    return np.stack([direct_efficiency_curve(ens, timeline, tw, times, p_int0)
+                     for tw in write_times], axis=1)
+
+
+def serial_echo_reference(ens, timeline, write_time, pulse, p_int0, times, x, w):
     """The echo profile's efficiency column as one loop over the nodes (x, w), in order."""
     eff = np.zeros_like(times)
     for t_created, wk in zip(creation_times(write_time, pulse, x), w):
-        eff += wk * curve(ens, timeline, t_created, times, p_int0)
+        eff += wk * direct_efficiency_curve(ens, timeline, t_created, times, p_int0)
     return eff
 
 
-# One drifting piece of the recurrence holds at most this many times.
-DRIFT_PIECE = _step_cap(3) + 1
+def kernel_bound(ens, timeline, write_times, times, p_int0):
+    """Largest |kernel - direct| over curves written at ``write_times``.
+
+    The kernel's docstring bound, p_int0 delta (2 + delta) with
+    delta = PHASE_TOL, plus the rounding the two evaluations share: eps per
+    radian of the largest phase, on the finite times, and eps per atom for
+    the sums over atoms.  The kernel splits each phase into parts measured
+    from the earliest write, so the largest phase is taken over those too.
+    """
+    eps = np.finfo(float).eps
+    z_max, v_max = np.abs(ens.positions).max(), np.abs(ens.velocities).max()
+    times = np.asarray(times, dtype=float)
+    times = np.concatenate([times[np.isfinite(times)], write_times])
+    phi_max = 0.0
+    for write_time in [min(write_times), *write_times]:
+        a, q = _phase_coefficients(timeline, write_time, times)
+        b = ens.k_sw * (times - write_time) + ens.zeeman_coeff * q
+        phi_max = max(phi_max, np.max(z_max * np.abs(ens.zeeman_coeff * a) + v_max * np.abs(b)))
+    delta = PHASE_TOL + eps * (8 * (1 + phi_max) + 2 * ens.n_atoms)
+    return p_int0 * delta * (2 + delta)
 
 
 @settings(max_examples=30, deadline=None)
 @given(nodes=st.integers(3, 40),
-       cpus=st.sampled_from([1, 2, 3, 16]),
-       n_atoms=st.sampled_from([1, 2, 257]),
-       n_times=st.sampled_from([1, DRIFT_PIECE, DRIFT_PIECE + 1]),
+       n_atoms=st.sampled_from([1, 2, ECHO_CHUNK - 1, ECHO_CHUNK + 1, 2 * ECHO_CHUNK + 3]),
+       n_times=st.sampled_from([1, 2, 67]),
        temperature=st.sampled_from([0.0, 40e-6]),
        fwhm=st.floats(1e-9, 1.2e-6),
        seed=st.integers(0, 2**32 - 1))
-def test_threaded_echo_profile_equals_serial_node_sum(nodes, cpus, n_atoms, n_times,
+def test_threaded_echo_profile_equals_serial_node_sum(nodes, n_atoms, n_times,
                                                       temperature, fwhm, seed):
-    # ``cpus`` stands in for the usable CPU count, so the pool also runs with
-    # one worker and with more CPUs than nodes on any machine.
+    # The atom chunks of the kernel's matrix products may end partway through
+    # the ensemble; the profile stays within the kernel's bound of the direct
+    # node sum.
     ens = sample_ensemble(n_atoms, SIGMA_Z, temperature, seed=seed)
     timeline = FieldTimeline.reversal(2.0, 2e-6, drift_rate=2000.0)
     times = np.linspace(2.5e-6, 5.5e-6, n_times)
     pulse = PulseSpec(fwhm)
-    with mock.patch.object(ensemble, "_usable_cpus", lambda: cpus):
-        got = echo_profile(ens, timeline, 0.0, pulse, 0.4, times, nodes=nodes)
-    want = serial_echo_reference(ens, timeline, 0.0, pulse, 0.4, times,
-                                 *_creation_nodes(nodes))
+    x, w = _creation_nodes(nodes)
+    got = echo_profile(ens, timeline, 0.0, pulse, 0.4, times, nodes=nodes)
+    want = serial_echo_reference(ens, timeline, 0.0, pulse, 0.4, times, x, w)
     np.testing.assert_array_equal(got[:, 0], times)
-    np.testing.assert_array_equal(got[:, 1].view(np.int64), want.view(np.int64))
+    bound = kernel_bound(ens, timeline, creation_times(0.0, pulse, x), times, 0.4)
+    assert np.abs(got[:, 1] - want).max() <= bound
 
 
-EMPTY = np.empty
-
-
-def inf_empty(*args, **kwargs):
-    """``np.empty`` whose memory starts as inf, the worst that stale memory can hold."""
-    out = EMPTY(*args, **kwargs)
-    out.fill(complex(math.inf, math.inf) if out.dtype.kind == "c" else math.inf)
-    return out
-
-
-# Each stacking grid lets the rows' pieces differ: nodes created inside the
-# grid, a grid across the reversal knot at 2 us, and (with drift) pieces
-# that end at other times for each creation time.
-STACKING_GRIDS = {"echo": (2.5e-6, 5.5e-6), "created": (-6e-7, 1.5e-6), "knot": (1e-6, 3e-6)}
-
-
-@pytest.mark.filterwarnings("ignore:invalid value encountered in exp:RuntimeWarning")
-@settings(max_examples=60, deadline=None)
-@given(rows=st.integers(1, 5),
-       cpus=st.sampled_from([1, 2, 3]),
+@settings(max_examples=30, deadline=None)
+@given(fwhms=st.lists(st.floats(1e-9, 1.2e-6), min_size=1, max_size=3),
        nodes=st.integers(3, 17),
-       n_atoms=st.one_of(st.just(1), st.integers(2, 40)),
+       n_atoms=st.sampled_from([1, 50, 300]),
        drift_rate=st.sampled_from([-2e4, 0.0, 2e4]),
-       grid=st.sampled_from(sorted(STACKING_GRIDS)),
-       n_times=st.sampled_from([1, 2, DRIFT_PIECE + 1, 40]),
-       nan_at=st.one_of(st.none(), st.integers(0, 39)),
-       fwhm=st.floats(1e-9, 1.2e-6),
+       start=st.sampled_from([-1e-6, 2.5e-6]),
        seed=st.integers(0, 2**32 - 1))
-def test_stacked_node_curves_keep_each_nodes_bits(rows, cpus, nodes, n_atoms, drift_rate,
-                                                   grid, n_times, nan_at, fwhm, seed):
-    # The row budget is cut to ``rows`` curves per task, so that small
-    # ensembles stack too, with partial last groups.  Every np.empty starts
-    # as inf: a lockstep multiply that read a chain level its row never
-    # wrote would raise an invalid-value warning, which fails the test.
+def test_echo_profiles_match_each_pulse_alone(fwhms, nodes, n_atoms, drift_rate, start, seed):
+    # One pass over the atoms for all pulses stays within the kernel's bound
+    # of the direct node sum, and so within twice it of each pulse's own call.
+    # A grid from -1 us also reads before the creation of some nodes.
     ens = sample_ensemble(n_atoms, SIGMA_Z, 40e-6, seed=seed)
     timeline = FieldTimeline.reversal(2.0, 2e-6, drift_rate=drift_rate)
-    times = np.linspace(*STACKING_GRIDS[grid], n_times)
-    if nan_at is not None and nan_at < n_times:
-        times[nan_at] = math.nan
-    pulse, p_int0 = PulseSpec(fwhm), 0.4
+    times = np.linspace(start, 5.5e-6, 40)
+    pulses, p_int0 = [PulseSpec(fwhm) for fwhm in fwhms], 0.4
     x, w = _creation_nodes(nodes)
-    created = creation_times(0.0, pulse, x)
-    with mock.patch.object(ensemble, "ROW_ELEMENTS", rows * n_atoms), \
-            mock.patch.object(ensemble, "_usable_cpus", lambda: cpus), \
-            mock.patch.object(np, "empty", inf_empty):
-        got = echo_profile(ens, timeline, 0.0, pulse, p_int0, times, nodes=nodes)[:, 1]
-        block = _efficiency_curve(ens, timeline, created[:rows], times, p_int0)
-    want = serial_echo_reference(ens, timeline, 0.0, pulse, p_int0, times, x, w)
-    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
-    assert block.shape == (min(rows, len(created)), n_times)
-    for row, t_created in zip(block, created):
-        single = _efficiency_curve(ens, timeline, t_created, times, p_int0)
-        np.testing.assert_array_equal(row.view(np.int64), single.view(np.int64))
+    created = [t for pulse in pulses for t in creation_times(0.0, pulse, x)]
+    bound = kernel_bound(ens, timeline, created, times, p_int0)
+    profiles = echo_profiles(ens, timeline, 0.0, pulses, p_int0, times, nodes=nodes)
+    assert len(profiles) == len(pulses)
+    for pulse, profile in zip(pulses, profiles):
+        alone = echo_profile(ens, timeline, 0.0, pulse, p_int0, times, nodes=nodes)
+        direct = serial_echo_reference(ens, timeline, 0.0, pulse, p_int0, times, x, w)
+        np.testing.assert_array_equal(profile[:, 0], times)
+        assert np.abs(profile[:, 1] - direct).max() <= bound
+        assert np.abs(profile[:, 1] - alone[:, 1]).max() <= 2 * bound
 
 
 @pytest.mark.parametrize("nodes, kept", [(3, 3), (9, 9), (17, 15), (25, 19), (33, 23), (65, 33)])
@@ -573,7 +587,7 @@ def test_dropped_nodes_move_the_profile_by_at_most_their_weight(nodes, n_atoms, 
                                                                   fwhm, seed):
     # Every node curve lies in [0, p_int0] and the kept weights are not
     # renormalized, so the full rule differs by at most p_int0 times the
-    # weight left out, plus rounding in the node sum.
+    # weight left out, plus rounding in the node sum and the kernel's bound.
     ens = sample_ensemble(n_atoms, SIGMA_Z, 40e-6, seed=seed)
     timeline = FieldTimeline.reversal(2.0, 2e-6, drift_rate=drift_rate)
     times = np.linspace(2.5e-6, 5.5e-6, 40)
@@ -581,9 +595,11 @@ def test_dropped_nodes_move_the_profile_by_at_most_their_weight(nodes, n_atoms, 
     got = echo_profile(ens, timeline, 0.0, pulse, p_int0, times, nodes=nodes)[:, 1]
     x_full, w_full = full_rule(nodes)
     full = serial_echo_reference(ens, timeline, 0.0, pulse, p_int0, times, x_full, w_full)
-    drop = (nodes - len(_creation_nodes(nodes)[0])) // 2
+    x, _ = _creation_nodes(nodes)
+    drop = (nodes - len(x)) // 2
     dropped = w_full[:drop].sum() + w_full[nodes - drop:].sum()
-    bound = p_int0 * dropped + 64 * np.finfo(float).eps * p_int0
+    bound = (p_int0 * dropped + 64 * np.finfo(float).eps * p_int0
+             + kernel_bound(ens, timeline, creation_times(0.0, pulse, x), times, p_int0))
     assert np.abs(got - full).max() <= bound
 
 
@@ -608,55 +624,24 @@ def test_moving_atoms_follow_gaussian_closed_form(gradient, reverse_time, time_s
     times = np.linspace(*time_span, 181)
     for seed in (1, 2, 3):
         ens = sample_ensemble(n, SIGMA_Z, temperature, seed=seed)
-        for write_time in write_times:
+        sampled = _node_curves(ens, timeline, write_times, times, 1.0)
+        for write_time, curve in zip(write_times, sampled.T):
             a, q = _phase_coefficients(timeline, write_time, times)
             zc = ens.zeeman_coeff
             b = ens.k_sw * (times - write_time) + zc * q
             closed = np.exp(-(SIGMA_Z * zc * a) ** 2 - (sigma_v * b) ** 2)
-            sampled = _efficiency_curve(ens, timeline, write_time, times, 1.0)
-            assert np.abs(sampled - closed).max() < 3.0 / math.sqrt(n)
-
-
-def direct_efficiency_curve(ens, timeline, write_time, times, p_int0):
-    """Reference kernel: one exp per atom and time, ``np.exp(1j * phi).mean(axis=0)``."""
-    times = np.asarray(times, dtype=float)
-    a, q = _phase_coefficients(timeline, write_time, times)
-    zc = ens.zeeman_coeff
-    b = ens.k_sw * (times - write_time) + zc * q
-    phi = ens.positions[:, None] * (zc * a)[None, :] + ens.velocities[:, None] * b[None, :]
-    return p_int0 * np.abs(np.exp(1j * phi).mean(axis=0)) ** 2
-
-
-def kernel_bound(ens, timeline, write_times, times, p_int0):
-    """Largest |kernel - direct| over curves written at ``write_times``.
-
-    The kernel's docstring bound, p_int0 delta (2 + delta) with
-    delta = 2 PHASE_TOL, plus the rounding the two evaluations share: eps
-    per radian of the largest phase, on the finite times, and eps per atom
-    for the reference's sequential mean.
-    """
-    eps = np.finfo(float).eps
-    z_max, v_max = np.abs(ens.positions).max(), np.abs(ens.velocities).max()
-    times = np.asarray(times, dtype=float)
-    times = times[np.isfinite(times)]
-    phi_max = 0.0
-    for write_time in write_times:
-        a, q = _phase_coefficients(timeline, write_time, times)
-        b = ens.k_sw * (times - write_time) + ens.zeeman_coeff * q
-        phi_max = max(phi_max, np.max(z_max * np.abs(ens.zeeman_coeff * a) + v_max * np.abs(b),
-                                      initial=0.0))
-    delta = 2 * PHASE_TOL + eps * (8 * (1 + phi_max) + 2 * ens.n_atoms)
-    return p_int0 * delta * (2 + delta)
+            assert np.abs(curve - closed).max() < 3.0 / math.sqrt(n)
 
 
 @st.composite
 def kernel_inputs(draw):
-    """Ensemble, timeline, write time and time grid for the kernel-versus-direct test.
+    """Ensemble, timeline, creation times and time grid for the kernel-versus-direct test.
 
-    Reversal and freeze/release timelines, drifting or not; writes before,
-    between and after the knots; 1-3 times, the step cap's piece lengths
-    +-1, or up to 200 times; uniform, random sorted, jittered or knot-crossing
-    grids that may start before the write.
+    Reversal and freeze/release timelines, drifting or not; 1-5 creation
+    times up to 1 us about a centre before, between or after the knots;
+    1-3 or up to 200 times on uniform, random sorted or knot-crossing grids
+    that may start before the creations; 1-3 atoms, or up to 300, so that
+    the last atom chunk of the kernel's products may be partial.
     """
     drift = draw(st.one_of(st.sampled_from([0.0, 2e4, -2e4]), st.floats(-2e4, 2e4)))
     if draw(st.booleans()):
@@ -666,56 +651,59 @@ def kernel_inputs(draw):
         t_freeze, hold = draw(st.floats(2e-7, 3e-6)), draw(st.floats(1e-7, 3e-6))
         timeline = FieldTimeline.freeze_release(2.0, t_freeze, t_freeze + hold, drift_rate=drift)
         knots = [0.0, t_freeze, t_freeze + hold]
-    write_time = draw(st.floats(-1e-6, knots[-1]))
-    cap = _step_cap(3 if drift else 2)
-    n_times = draw(st.one_of(st.integers(1, 3), st.sampled_from([cap, cap + 1, cap + 2]),
-                             st.integers(4, 200)))
-    t0 = draw(st.floats(write_time - 1e-6, knots[-1] + 2e-6))
-    span = draw(st.floats(1e-9, 1e-5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    grid = draw(st.sampled_from(["uniform", "sorted", "jittered", "knots"]))
+    centre = draw(st.floats(-1e-6, knots[-1]))
+    spread = draw(st.sampled_from([0.0, 1e-9, 1e-7, 1e-6]))
+    write_times = list(centre + spread * rng.uniform(-1.0, 1.0, draw(st.integers(1, 5))))
+    n_times = draw(st.one_of(st.integers(1, 3), st.integers(4, 200)))
+    t0 = draw(st.floats(centre - 1e-6, knots[-1] + 2e-6))
+    span = draw(st.floats(1e-9, 1e-5))
+    grid = draw(st.sampled_from(["uniform", "sorted", "knots"]))
     if grid == "uniform":
         times = np.linspace(t0, t0 + span, n_times)
     elif grid == "sorted":
         times = np.sort(rng.uniform(t0, t0 + span, n_times))
-    elif grid == "jittered":
-        # misses of the piece polynomial from rounding level up to past PHASE_TOL
-        jitter = span / n_times * 10.0 ** -draw(st.integers(6, 15))
-        times = np.linspace(t0, t0 + span, n_times) + rng.normal(0.0, jitter, n_times)
     else:
         times = np.sort(np.concatenate([
-            np.linspace(write_time - 5e-7, knots[-1] + 1e-6, n_times), knots, [write_time]]))
+            np.linspace(centre - 5e-7, knots[-1] + 1e-6, n_times), knots, write_times]))
     ens = sample_ensemble(draw(st.one_of(st.integers(1, 3), st.integers(4, 300))),
                           draw(st.sampled_from([0.0, SIGMA_Z])),
                           draw(st.sampled_from([0.0, 40e-6])),
                           seed=draw(st.integers(0, 2**32 - 1)))
-    return ens, timeline, write_time, times
+    return ens, timeline, write_times, times
 
 
 @settings(max_examples=300, deadline=None)
 @given(inputs=kernel_inputs())
 def test_kernel_within_bound_of_direct(inputs):
-    ens, timeline, write_time, times = inputs
-    got = _efficiency_curve(ens, timeline, write_time, times, 0.37)
-    want = direct_efficiency_curve(ens, timeline, write_time, times, 0.37)
-    assert np.abs(got - want).max() <= kernel_bound(ens, timeline, [write_time], times, 0.37)
+    ens, timeline, write_times, times = inputs
+    got = _node_curves(ens, timeline, write_times, times, 0.37)
+    want = direct_node_curves(ens, timeline, write_times, times, 0.37)
+    assert np.abs(got - want).max() <= kernel_bound(ens, timeline, write_times, times, 0.37)
     if len(times) == 1:
-        # a single time is an anchor: the direct evaluation's bits
-        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        # collective_efficiency is the direct evaluation, bit for bit
+        late = [k for k, write_time in enumerate(write_times) if times[0] >= write_time]
+        single = np.array([collective_efficiency(ens, timeline, write_times[k], times[0], 0.37)
+                           for k in late])
+        np.testing.assert_array_equal(single.view(np.int64), want[0, late].view(np.int64))
 
 
-@pytest.mark.parametrize("order", [2, 3])
-def test_pieces_end_at_the_step_cap(order):
-    # Inside one segment the phase is one polynomial, and at a weak gradient
-    # the rounding of its differences stays far below PHASE_TOL, so only the
-    # cap ends pieces.
-    cap = _step_cap(order)
-    timeline = FieldTimeline(((0.0, 0.02),), drift_rate=2e4 if order == 3 else 0.0)
-    times = np.linspace(1e-6, 3e-6, 2 * (cap + 1) + 3)
-    a, q = _phase_coefficients(timeline, 0.0, times)
-    za, b = ZEEMAN_COEFF_DEFAULT * a, K_SW_DEFAULT * times + ZEEMAN_COEFF_DEFAULT * q
-    pieces = [(start, length) for start, length, *_ in _pieces(za, b, 4e-3, 0.3, order)]
-    assert pieces == [(0, cap + 1), (cap + 1, cap + 1), (2 * cap + 2, 3)]
+@pytest.mark.parametrize("temperature, reverse_time, fwhm", [
+    (1e-3, 1e-4, 7e-6),  # a warm cloud and a long pulse on a long timeline
+    (0.1, 2e-5, 2e-6),   # a hot cloud
+])
+def test_spread_creation_times_split_into_groups(temperature, reverse_time, fwhm):
+    # Readout and creation times couple by more than _GROUP_PHASE here, so
+    # the kernel expands about several centres, one product series each.
+    ens = sample_ensemble(300, SIGMA_Z, temperature, seed=3)
+    timeline = FieldTimeline.reversal(2.0, reverse_time, drift_rate=2000.0)
+    times = np.linspace(reverse_time, 2.5 * reverse_time, 50)
+    created = creation_times(0.0, PulseSpec(fwhm), _creation_nodes(17)[0])
+    with mock.patch.object(ensemble, "_atom_sums", wraps=ensemble._atom_sums) as sums:
+        got = _node_curves(ens, timeline, created, times, 0.37)
+    assert sums.call_count >= 2
+    want = direct_node_curves(ens, timeline, created, times, 0.37)
+    assert np.abs(got - want).max() <= kernel_bound(ens, timeline, created, times, 0.37)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
@@ -724,23 +712,22 @@ def test_pieces_end_at_the_step_cap(order):
 @pytest.mark.parametrize("drift_rate", [0.0, 2e4])
 def test_non_finite_time_stays_local(bad, pos, drift_rate):
     # A non-finite time gives a non-finite value there, as the direct
-    # evaluation does, and nowhere else: its NaN deviation ends the piece
-    # before it, and it starts a piece of one time.
+    # evaluation does, and nowhere else: it only enters its own row of the
+    # kernel's products, and the coupling bound skips it.
     ens = sample_ensemble(50, SIGMA_Z, 40e-6, seed=3)
     timeline = FieldTimeline.reversal(2.0, 2e-6, drift_rate=drift_rate)
     times = np.linspace(2.5e-6, 5.5e-6, 80)
     times[pos] = bad
     rest = np.arange(len(times)) != pos
     pulse, p_int0 = PulseSpec(266e-9), 0.4
-    got = _efficiency_curve(ens, timeline, 0.0, times, p_int0)
+    got = _node_curves(ens, timeline, [0.0], times, p_int0)[:, 0]
     want = direct_efficiency_curve(ens, timeline, 0.0, times, p_int0)
     assert np.flatnonzero(~np.isfinite(want)).tolist() == [pos]
     assert np.flatnonzero(~np.isfinite(got)).tolist() == [pos]
     assert np.abs(got - want)[rest].max() <= kernel_bound(ens, timeline, [0.0], times, p_int0)
     x, w = _creation_nodes(5)
     profile = echo_profile(ens, timeline, 0.0, pulse, p_int0, times, nodes=5)[:, 1]
-    direct = serial_echo_reference(ens, timeline, 0.0, pulse, p_int0, times, x, w,
-                                   curve=direct_efficiency_curve)
+    direct = serial_echo_reference(ens, timeline, 0.0, pulse, p_int0, times, x, w)
     assert np.flatnonzero(~np.isfinite(profile)).tolist() == [pos]
     bound = kernel_bound(ens, timeline, creation_times(0.0, pulse, x), times, p_int0)
     assert np.abs(profile - direct)[rest].max() <= bound
