@@ -17,7 +17,6 @@ and the Zeeman coefficient in Hz per gauss.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -326,104 +325,55 @@ REPHASING_HORIZON = 0.01
 def rephasing_time(timeline: FieldTimeline, write_time: float) -> float:
     """Earliest time after ``write_time`` where the gradient phase integral crosses zero.
 
-    Solved segment by segment: within a segment the integral is linear (or
-    quadratic, with drift) in time, so candidate intervals are located from
-    sign changes at segment boundaries and at the interior extremum where the
-    drifting gradient itself changes sign; the root is then polished with
-    :func:`_brentq`, a step-for-step port of scipy's C ``brentq``, to
-    ``xtol = 1e-9`` s absolute and ``rtol = 4 eps`` relative tolerance in at
-    most 100 iterations.  Raises :class:`NoRephasingError` when no crossing
-    exists before ``write_time + REPHASING_HORIZON``.
-    I(write_time) is exactly 0, so the search starts at the first knot after it.
-    A knot where |I| is at most 1e-12 of the integral's total variation since
-    the write is itself the echo; the threshold is relative, so a weak
-    gradient that never reverses still raises.
+    The integral I = 2 pi 100 int_tw^t A(t')(1 + d t') dt' (the a(t) of
+    ``_phase_coefficients`` over zc) is walked in floats over the knots: the
+    segment starts after the write, the time -1/d where the drifting gradient
+    changes sign, and ``write_time + REPHASING_HORIZON``.  From knot a, with
+    gradient g, I(a + u) = I(a) + 2 pi 100 g (u (1 + d a) + d u^2 / 2), one
+    formula for the knot values and for the root.  I is monotone between
+    knots, so a sign change brackets one root, which is exact: linear without
+    drift, else the stable quadratic formula (Press et al., *Numerical
+    Recipes*, sec. 5.6), divided through by 2 pi 100 g so that no square
+    underflows.  I(write_time) is exactly 0, so the search starts at the first
+    knot after it.  A knot where |I| is at most 1e-12 of the integral's total
+    variation since the write is itself the echo; the threshold is relative,
+    so a weak gradient that never reverses still raises.  Raises
+    :class:`NoRephasingError` when no crossing exists before the horizon.
     """
     t_end = write_time + REPHASING_HORIZON
-    def f(t):
-        """Position-proportional phase integral I(t) = int_tw^t A(t')(1 + d t') dt'."""
-        return float(_phase_coefficients(timeline, write_time, np.array([t], dtype=float))[0][0])
-    knots = []
-    for start, end, _ in timeline._bounds():
-        if write_time < start < t_end:
-            knots.append(start)
-        # interior sign change of the drifting gradient A (1 + d t)
-        if timeline.drift_rate != 0.0:
-            t_flip = -1.0 / timeline.drift_rate
-            lo = max(start, write_time)
-            hi = min(end, t_end)
-            if lo < t_flip < hi:
-                knots.append(t_flip)
-    knots.append(t_end)
-    knots = sorted(set(knots))
+    d = timeline.drift_rate
+    knots = {start for start, _ in timeline.segments if write_time < start < t_end}
+    # interior sign change of the drifting gradient A (1 + d t)
+    if d != 0.0 and max(timeline.segments[0][0], write_time) < -1.0 / d < t_end:
+        knots.add(-1.0 / d)
+    scale = 2.0 * math.pi * _CM_PER_M
     # I is monotone between knots, so the summed knot-to-knot steps are the
     # integral's total variation since the write: the scale against which a
     # knot value counts as zero.
-    f_prev, fa, variation = 0.0, f(knots[0]), 0.0
-    for a, b in zip(knots, knots[1:]):
-        variation += abs(fa - f_prev)
-        if abs(fa) <= 1e-12 * variation:
+    a, fa, variation = write_time, 0.0, 0.0
+    for b in sorted(knots) + [t_end]:
+        if a > write_time and abs(fa) <= 1e-12 * variation:
             return a
-        fb = f(b)
-        if fa * fb <= 0.0:
-            return _brentq(f, a, fa, b, xtol=1e-9)
-        f_prev, fa = fa, fb
+        grad = next((g for start, g in reversed(timeline.segments) if start <= a), 0.0)
+        h, slope = b - a, 1.0 + d * a
+        fb = fa + scale * grad * (h * slope + d * h * h / 2.0)
+        # Signs, not fa * fb, which underflows for a weak gradient; a zero
+        # gradient leaves fb == fa, so a sign change needs grad != 0.
+        if a > write_time and grad != 0.0 and (fb == 0.0 or (fa < 0.0) != (fb < 0.0)):
+            # d/2 u^2 + slope u + c = 0 has the roots c/q and 2q/d, one on each
+            # side of the flip at u = -slope/d: the piece holds one of them.
+            # q != 0: |q| >= |slope|/2, and at slope = 0 a sign change needs d c < 0.
+            c = fa / (scale * grad)
+            disc = math.sqrt(max(slope * slope - 2.0 * d * c, 0.0))
+            q = -0.5 * (slope + math.copysign(disc, slope))
+            roots = [c / q] + ([2.0 * q / d] if d != 0.0 else [])
+            u = min(roots, key=lambda r: max(-r, r - h))  # the one in (or nearest) [0, h]
+            return a + min(max(u, 0.0), h)
+        variation += abs(fb - fa)
+        a, fa = b, fb
     raise NoRephasingError(
         f"phase integral does not return to zero within {REPHASING_HORIZON:g} s of the write"
     )
-
-
-def _brentq(f, a, fa, b, xtol):
-    """Root of ``f`` in [a, b] by Brent's method, given ``fa = f(a)``.
-
-    A step-for-step port of scipy's C ``brentq`` (Brent, *Algorithms for
-    Minimization without Derivatives*, 1973, ch. 4) with its default
-    ``rtol = 4 eps`` and 100 iterations, so it returns the same bits as
-    ``scipy.optimize.brentq(f, a, b, xtol=xtol)``.  Raises ``ValueError``
-    when f(a) and f(b) have the same sign and ``RuntimeError`` when it does
-    not converge.
-    """
-    rtol = 4.0 * sys.float_info.epsilon
-    xpre, fpre = a, fa
-    xcur, fcur = b, f(b)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(100):
-        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2.0
-        sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:  # secant step
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:  # inverse quadratic interpolation
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            except ZeroDivisionError:  # C gets an inf or NaN step here, and bisects
-                stry = math.inf
-            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
-        fcur = f(xcur)
-    raise RuntimeError(f"brentq failed to converge after 100 iterations, value is {xcur}")
 
 
 def echo_profiles(

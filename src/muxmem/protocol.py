@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -331,6 +330,8 @@ def run_trials(
         for b in range(w, n_blocks, workers):
             run_block(b, tally, buf, spin, write)
         return tally
+
+    from concurrent.futures import ThreadPoolExecutor  # logging loads only with the trials
 
     with ThreadPoolExecutor(workers) as pool:
         total, *rest = pool.map(run_worker, range(workers))
