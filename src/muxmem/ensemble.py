@@ -146,12 +146,13 @@ def _phase_coefficients(timeline: FieldTimeline, write_time: float, times: np.nd
     """Position and velocity gradient-phase coefficients for each readout time.
 
     The gradient phase of atom j is linear in its write-time position and
-    velocity: phi_grad = a(t) * z_j + q(t) * v_j with
+    velocity: phi_grad = zc * (a(t) * z_j + q(t) * v_j) with
 
-        a(t) = 2 pi zc * 100 * integral A(t') (1 + d t') dt'
-        q(t) = 2 pi zc * 100 * integral A(t') (1 + d t') (t' - t_w) dt'
+        a(t) = 2 pi * 100 * integral A(t') (1 + d t') dt'
+        q(t) = 2 pi * 100 * integral A(t') (1 + d t') (t' - t_w) dt'
 
-    (the factor 100 converts gauss/cm * m to gauss).  Returns (a, q) arrays.
+    (the factor 100 converts gauss/cm * m to gauss).  Returns (a, q) arrays
+    without the Zeeman coefficient zc, which every caller multiplies in.
     """
     d = timeline.drift_rate
     tw = write_time

@@ -16,10 +16,11 @@ the write clicks are listed once, and every count is an ``np.bincount`` by
 read mode, or by (herald mode, read mode) cell, over the block's reading
 trials and clicks.  The blocks run on a thread pool with one worker per
 usable CPU (at most one per block): worker w takes blocks w, w + W, ... into
-its own tally, filling each block's dense uniform draws in place, chunk by
-chunk, from one small per-worker buffer.  The worker tallies are then added
-field by field.  Integer addition is exact and order-free, so every count
-has the same bits on any number of CPUs.
+its own tally.  A block's two dense Bernoulli draws compare raw Philox words
+against exact integer bounds, chunk by chunk, with the bits of ``random() < q``
+(:func:`_draw_below`).  The worker tallies are then added field by field.
+Integer addition is exact and order-free, so every count has the same bits on
+any number of CPUs.
 """
 
 from __future__ import annotations
@@ -36,7 +37,9 @@ from .model import MemoryParams
 #: Trials per RNG block.  Fixed: it is part of the determinism contract.
 BLOCK_SIZE = 4096
 
-#: Doubles per in-place uniform draw: the size of each worker's draw buffer.
+#: Raw Philox words per Bernoulli draw call, which allocates them.  Whole
+#: (4096 x 100) blocks raised ``trial-train``'s peak memory by 6.7 MB; 2**13
+#: to 2**16 words peaked within 0.7 MB, lowest at 2**15 (2 vCPU, 3 runs each).
 _DRAW_CHUNK = 2 ** 15
 
 #: Readout policies: read the first heralded mode (odd trials run fixed-mode
@@ -163,6 +166,21 @@ def _block_rng(seed: int, block_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+def _draw_below(rng, q, out) -> None:
+    """Set ``out`` to ``rng.random(out.shape) < q`` for q in [0, 1], bit for bit.
+
+    ``random()`` turns the next Philox word w into (w >> 11)·2⁻⁵³, so
+    u < q exactly when w < ⌈q·2⁵³⌉·2¹¹.  One word per value, chunk by
+    chunk in row order, leaves the stream where the dense draw would.
+    At q = 1 the bound is 2⁶⁴; numpy compares Python ints exactly.
+    """
+    limit = math.ceil(q * 2.0 ** 53) << 11
+    flat = out.reshape(-1)
+    for lo in range(0, flat.size, _DRAW_CHUNK):
+        words = rng.bit_generator.random_raw(min(_DRAW_CHUNK, flat.size - lo))
+        np.less(words, limit, out=flat[lo:lo + words.size])
+
+
 def run_trials(
     mem: MemoryParams,
     schedule: ModeSchedule,
@@ -220,31 +238,19 @@ def run_trials(
         c = np.bincount(keys, weights, minlength=n)
         return c if weights is None else c.astype(np.int64)
 
-    def draw_below(rng, threshold, buf, out) -> None:
-        """Set ``out`` to ``rng.random(out.shape) < threshold``, drawn into ``buf``.
-
-        The uniforms are filled chunk by chunk in row order; consecutive
-        fills continue the Philox stream, so the bits equal one dense draw.
-        """
-        flat = out.reshape(-1)
-        for lo in range(0, flat.size, buf.size):
-            chunk = buf[:flat.size - lo]
-            rng.random(out=chunk)
-            np.less(chunk, threshold, out=flat[lo:lo + chunk.size])
-
-    def run_block(b: int, tally: CountsTally, buf, spin, write) -> None:
+    def run_block(b: int, tally: CountsTally, spin, write) -> None:
         """Draw block ``b`` and add its counts into ``tally`` in place.
 
-        ``buf`` is the worker's draw buffer; ``spin`` and ``write`` are its
-        (rows, m) bool arrays, of which the block uses the first ``size`` rows.
+        ``spin`` and ``write`` are the worker's (rows, m) bool arrays, of
+        which the block uses the first ``size`` rows.
         """
         start = b * BLOCK_SIZE
         size = min(BLOCK_SIZE, n_trials - start)
         rng = _block_rng(seed, b)
         idx = start + np.arange(size)
         spin, write = spin[:size], write[:size]
-        draw_below(rng, mem.p, buf, spin)
-        draw_below(rng, mem.eta_w, buf, write)
+        _draw_below(rng, mem.p, spin)
+        _draw_below(rng, mem.eta_w, write)
         write &= spin
         # Every write click as (trial, mode), trials ascending and modes
         # ascending within a trial (flat indices are much faster than 2-D
@@ -323,12 +329,10 @@ def run_trials(
 
     def run_worker(w: int) -> CountsTally:
         tally = CountsTally.zeros(m)
-        rows = min(BLOCK_SIZE, n_trials)
-        buf = np.empty(min(_DRAW_CHUNK, rows * m))
-        spin = np.empty((rows, m), dtype=bool)
+        spin = np.empty((min(BLOCK_SIZE, n_trials), m), dtype=bool)
         write = np.empty_like(spin)
         for b in range(w, n_blocks, workers):
-            run_block(b, tally, buf, spin, write)
+            run_block(b, tally, spin, write)
         return tally
 
     from concurrent.futures import ThreadPoolExecutor  # logging loads only with the trials

@@ -33,6 +33,7 @@ from muxmem.protocol import (
     run_trials,
     _DRAW_CHUNK,
     _block_rng,
+    _draw_below,
 )
 
 FIVE = MemoryParams(p=0.05, eta_w=0.3, eta_r=0.25, p_int0=0.4,
@@ -501,6 +502,33 @@ def test_herald_reads_may_exceed_reads_summed_over_heralds():
     assert np.all(tally.herald_reads <= tally.n_reads[None, :])
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), size=st.integers(1, 3 * _DRAW_CHUNK),
+       m=st.integers(1, 6), pick=st.integers(0, 2**32))
+def test_word_bound_draw_equals_uniform_draw(seed, size, m, pick):
+    # q_k = k·2⁻⁵³ with k = w >> 11 of one of the words the draw will see
+    # puts q exactly on that word's uniform.  A word with its low 11 bits
+    # zero, if the draw sees one, equals the integer bound there, where
+    # ``<=`` in place of ``<`` would flip its value.  Sizes past the chunk
+    # cross chunk boundaries mid-row.
+    shape = (-(-size // m), m)
+    words = np.random.Philox(seed).random_raw(shape[0] * m)
+    on_bound = np.flatnonzero(words % 2048 == 0)
+    pool = on_bound if on_bound.size else np.arange(words.size)
+    q_k = float(words[pool[pick % pool.size]] >> 11) * 2.0 ** -53
+    for q in (0.0, 5e-324, q_k, float(np.nextafter(q_k, 2.0)), 0.045, 0.3,
+              1.0 - 2.0 ** -53, 1.0):
+        got = np.random.Generator(np.random.Philox(seed))
+        ref = np.random.Generator(np.random.Philox(seed))
+        out = np.empty(shape, dtype=bool)
+        _draw_below(got, q, out)
+        np.testing.assert_array_equal(out, ref.random(shape) < q)
+        # One word per value: the stream goes on where ``random`` leaves it.
+        assert got.random(3).tolist() == ref.random(3).tolist()
+        n = [0, 1, 7, 40]
+        np.testing.assert_array_equal(got.binomial(n, 0.5), ref.binomial(n, 0.5))
+
+
 def loop_run_trials(mem, schedule, n_trials, seed, readout, retrieval_scale=None):
     """Reference engine: the same draws as run_trials, tallied mode by mode."""
     m = mem.n_modes
@@ -633,9 +661,9 @@ def test_tally_same_bits_on_one_cpu():
        readout=st.sampled_from([FEED_FORWARD, CYCLE, "fixed"]),
        cpus=st.sampled_from([1, 2, 3]), data=st.data())
 def test_chunked_draws_equal_loop_reference(m, n_trials, seed, readout, cpus, data):
-    # BLOCK_SIZE * m exceeds the draw chunk at these m, so the in-place
-    # draws cross chunk boundaries mid-row; the dense draws of the loop
-    # reference must still give the same bits.
+    # BLOCK_SIZE * m exceeds the raw-word chunk at these m, so the word
+    # draws cross chunk boundaries mid-row; the dense uniform draws of the
+    # loop reference must still give the same bits.
     assert BLOCK_SIZE * m > _DRAW_CHUNK
     if readout == "fixed":
         readout = data.draw(st.integers(0, m - 1))

@@ -209,14 +209,11 @@ def test_engine_runs_without_scipy(tmp_path):
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 
-@pytest.mark.parametrize("demo", ["cavity_design.py", "photon_statistics_tour.py",
-                                  "protocol_monte_carlo.py", "repeater_budget.py"])
+@pytest.mark.parametrize("demo", ["cavity_design.py", "gradient_echo.py",
+                                  "photon_statistics_tour.py", "protocol_monte_carlo.py",
+                                  "repeater_budget.py"])
 def test_demo_runs(demo, tmp_path):
-    """Each demo runs to completion and prints its tables.
-
-    ``gradient_echo.py`` is left out: it computes full echo profiles and
-    takes about 6 s on two CPUs, too long for the tier-1 suite.
-    """
+    """Each demo runs to completion and prints its tables."""
     proc = subprocess.run([sys.executable, str(DEMOS / demo)], cwd=tmp_path,
                           capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
