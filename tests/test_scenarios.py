@@ -1,5 +1,6 @@
 """Scenario runner, CSV/JSON emitters, CLI exit codes, golden files."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -218,3 +219,53 @@ def test_demo_runs(demo, tmp_path):
                           capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+# Drifting and freeze/release trains through the CLI, which no golden config
+# runs: SHA-256 of each CSV and of each summary.
+PINNED_RUNS = {
+    "protocol-run-drift": {
+        "scenario": "protocol-run", "n_trials": 4096,
+        "schedule": {"drift_rate_per_s": 2e4},
+        "options": {"n_modes_values": [1, 3]},
+    },
+    "protocol-run-freeze": {
+        "scenario": "protocol-run", "n_trials": 4096,
+        "ensemble": {"n_atoms": 2000},
+        "schedule": {"policy": "freeze_release", "freeze_time_s": 2e-6,
+                     "release_time_s": 20e-6, "drift_rate_per_s": 2e4, "bias_g": 0.5},
+        "options": {"n_modes_values": [1, 3]},
+    },
+    "crosstalk-freeze": {
+        "scenario": "crosstalk", "n_trials": 2048, "memory": {"n_modes": 3},
+        "schedule": {"policy": "freeze_release", "freeze_time_s": 2e-6,
+                     "release_time_s": 20e-6},
+    },
+}
+
+PINNED_RUN_DIGESTS = {
+    "crosstalk-freeze": [
+        "3d69611acfbbd53ce87d56b99666db1b31779d87f365c5d673251efab6cf152d",
+        "6a9d33dd056ed620d9cb017b5408104b8e22071ece336c16c44a19c8c1bf741b",
+    ],
+    "protocol-run-drift": [
+        "e8cbf8ae5b59ac18f8c5ff5c2349554998cc44947ea7b0db4aad932c32857375",
+        "27022100a26f90aaf1d11c1cdb54dc1d22f3d99837bb12bb9078ea0da71b42a4",
+    ],
+    "protocol-run-freeze": [
+        "c15c61a4e273cccdae990eb017e926aac43b8d8e74fa73d0b94da22ad1a2770e",
+        "29d438926120e7375484f0c0e75d576aa957b315ff848fd0453ad552586a16b1",
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_RUNS))
+def test_cycled_train_bytes_pinned(case, tmp_path):
+    cfg = PINNED_RUNS[case]
+    scenario = cfg["scenario"]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main([scenario, "--config", str(path), "--out", str(tmp_path)]) == 0
+    got = [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in (f"{scenario}.csv", f"{scenario}_summary.json")]
+    assert got == PINNED_RUN_DIGESTS[case]
