@@ -65,8 +65,8 @@ from .protocol import (
     crosstalk_matrix,
     estimate_statistics,
     heralded_autocorrelation,
-    rephasing_deficit,
     run_trials,
+    run_train,
 )
 from .repeater import (
     FREEZE_RELEASE,

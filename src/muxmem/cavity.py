@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 #: Speed of light in vacuum, m/s (exact in the SI).
-_C = 299792458.0
+SPEED_OF_LIGHT = 299792458.0
 
 
 @dataclass(frozen=True)
@@ -107,7 +107,7 @@ def optimal_outcoupler(loss: float) -> tuple[float, float]:
 
 def fsr(cav: CavityParams) -> float:
     """Free spectral range in Hz, c / roundtrip_length."""
-    return _C / cav.roundtrip_length
+    return SPEED_OF_LIGHT / cav.roundtrip_length
 
 
 def linewidth(cav: CavityParams) -> float:

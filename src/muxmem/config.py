@@ -20,10 +20,14 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 
-from .cavity import CavityParams, PulseSpec
+from .cavity import SPEED_OF_LIGHT, CavityParams, PulseSpec
 from .ensemble import K_SW_DEFAULT, ZEEMAN_COEFF_DEFAULT
 from .model import DECAY_SHAPES, MemoryParams
-from .repeater import LinkParams
+from .repeater import FREEZE_RELEASE, LinkParams
+
+
+#: Names accepted for ``schedule.policy``; the first is the default.
+SCHEDULE_POLICIES = ("immediate_after_last", FREEZE_RELEASE)
 
 
 class ConfigError(ValueError):
@@ -50,7 +54,7 @@ class ScheduleConfig:
     gradient: float = 2.0
     bias: float = 0.0
     drift_rate: float = 0.0
-    policy: str = "immediate_after_last"
+    policy: str = SCHEDULE_POLICIES[0]
     freeze_time: float | None = None
     release_time: float | None = None
 
@@ -160,7 +164,7 @@ BLOCK_SPECS = {
         "bias_g": ("bias", lambda p, v: _num(p, v, None, None, "gauss")),
         "drift_rate_per_s": ("drift_rate", lambda p, v: _num(p, v, None, None, "1/s")),
         "policy": ("policy",
-                   lambda p, v: _choice(p, v, ("immediate_after_last", "freeze_release"))),
+                   lambda p, v: _choice(p, v, SCHEDULE_POLICIES)),
         "freeze_time_s": ("freeze_time", lambda p, v: None if v is None
                           else _num(p, v, 0, None, "seconds")),
         "release_time_s": ("release_time", lambda p, v: None if v is None
@@ -169,7 +173,7 @@ BLOCK_SPECS = {
     "link": (LinkParams, {
         "distance_m": ("distance", lambda p, v: _num(p, v, 1e-3, None, "meters")),
         "signal_velocity_m_per_s": ("signal_velocity",
-                                    lambda p, v: _num(p, v, 1.0, 299792458.0, "m/s")),
+                                    lambda p, v: _num(p, v, 1.0, SPEED_OF_LIGHT, "m/s")),
         "n_modes": ("n_modes", lambda p, v: _int(p, v, 1)),
         "herald_time_s": ("herald_time", lambda p, v: _num(p, v, 0, None, "seconds")),
         "decision_delay_s": ("decision_delay", lambda p, v: _num(p, v, 0, None, "seconds")),
@@ -292,7 +296,7 @@ def parse_config(text: str, scenario: str | None = None) -> ScenarioConfig:
     schedule = blocks["schedule"]
     if schedule.write_duration >= schedule.mode_spacing:
         raise ConfigError("schedule.write_duration_s: must be smaller than mode_spacing_s")
-    if schedule.policy == "freeze_release":
+    if schedule.policy == FREEZE_RELEASE:
         if schedule.freeze_time is None or schedule.release_time is None:
             raise ConfigError(
                 "schedule.freeze_time_s / release_time_s: required for the "

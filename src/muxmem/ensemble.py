@@ -377,6 +377,10 @@ def rephasing_time(timeline: FieldTimeline, write_time: float) -> float:
     )
 
 
+#: Gauss-Hermite creation-time nodes of :func:`echo_profiles` by default.
+QUADRATURE_NODES = 33
+
+
 def echo_profiles(
     ens: AtomEnsemble,
     timeline: FieldTimeline,
@@ -384,7 +388,7 @@ def echo_profiles(
     pulses,
     p_int0: float,
     times,
-    nodes: int = 33,
+    nodes: int = QUADRATURE_NODES,
 ) -> list:
     """Retrieval-efficiency profiles of spin waves created by finite pulses, one per pulse.
 
@@ -392,12 +396,13 @@ def echo_profiles(
     intensity envelope (FWHM ``pulse.duration_fwhm``, centred on
     ``write_time``); a profile is the envelope-weighted average of the
     single-creation-time efficiency, evaluated by Gauss-Hermite quadrature
-    with ``nodes`` nodes (33 by default).  The outermost nodes are left out in
-    symmetric pairs while their total normalized weight stays at most
-    ``QUADRATURE_TAIL_WEIGHT`` (see ``_creation_nodes``): 23 of the default
-    33 node curves are computed per pulse.  The kept weights are not
-    renormalized, so a profile differs from the full rule's by at most
-    ``p_int0`` times the dropped weight, at most 1e-10 ``p_int0``.
+    with ``nodes`` nodes (``QUADRATURE_NODES`` = 33 by default).  The
+    outermost nodes are left out in symmetric pairs while their total
+    normalized weight stays at most ``QUADRATURE_TAIL_WEIGHT`` (see
+    ``_creation_nodes``): 23 of the default 33 node curves are computed per
+    pulse.  The kept weights are not renormalized, so a profile differs from
+    the full rule's by at most ``p_int0`` times the dropped weight, at most
+    1e-10 ``p_int0``.
 
     The node curves of all pulses come from one pass over the atoms, as
     complex matrix products that share the costly readout-time factor (see
@@ -435,7 +440,7 @@ def echo_profile(
     pulse,
     p_int0: float,
     times,
-    nodes: int = 33,
+    nodes: int = QUADRATURE_NODES,
 ) -> np.ndarray:
     """Retrieval-efficiency profile of a spin wave created by one finite pulse.
 

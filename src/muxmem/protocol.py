@@ -6,9 +6,10 @@ readout time, and tallies detected read photons together with a virtual
 balanced splitter for autocorrelation estimates.  Background light in the
 read window is thermal with the analytic model's mean, so the tallies
 reproduce the closed-form statistics of :mod:`muxmem.model` in expectation.
-Readout times come from a gradient timeline alone (:func:`build_schedule`);
-:func:`rephasing_deficit` turns a drifting applied field into per-mode
-retrieval factors.
+Readout times come from a gradient timeline alone (:func:`build_schedule`).
+:func:`run_train` runs one train with every mode read in turn; under a
+drifting applied field it scales each mode's retrieval by the echo contrast
+at its programmed readout.
 
 Trials are partitioned into fixed-size blocks, each driven by its own
 counter-derived Philox stream.  A block is tallied in one vectorized pass:
@@ -31,7 +32,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .ensemble import AtomEnsemble, FieldTimeline, collective_efficiency, rephasing_time
+from .ensemble import FieldTimeline, collective_efficiency, rephasing_time
 from .model import MemoryParams
 
 #: Trials per RNG block.  Fixed: it is part of the determinism contract.
@@ -460,22 +461,34 @@ def crosstalk_matrix(
     return g2, err
 
 
-def rephasing_deficit(
-    ens: AtomEnsemble, timeline: FieldTimeline, schedule: ModeSchedule
-) -> np.ndarray:
-    """Per-mode echo contrast at the programmed readouts, clipped to [0, 1].
+def run_train(mem: MemoryParams, schedule: ModeSchedule, timeline: FieldTimeline,
+              n_trials: int, seed: int, ens=None):
+    """Run one train with every mode read in turn; return its per-train totals.
 
-    Mode m's collective efficiency (unit intrinsic retrieval) under the
-    ``timeline`` actually applied, read at ``schedule.readout_times[m]``.
-    Used as the ``retrieval_scale`` of :func:`run_trials` when the applied
-    gradient drifts; pass a motion-frozen ensemble, since motional decay is
-    already in ``MemoryParams.tau_mem``.
+    ``n_trials`` trials read the M = ``schedule.n_modes`` modes of ``mem`` in
+    turn (:data:`CYCLE`), seeded by (``seed``, M).  When the applied
+    ``timeline`` drifts, each mode's retrieval is scaled by the collective
+    efficiency of ``ens`` at its programmed readout, clipped to [0, 1]; pass a
+    motion-frozen ensemble (motional decay is already in ``tau_mem``), or get
+    a ValueError.  Returns (p_w_total, p_wr_total, stats) with
+
+        p_w_total  = sum_m p_hat_w(m)       (write clicks per train)
+        p_wr_total = sum_m p_hat_wr(m, m)   (write-read pairs per train; a
+                                             mode never read adds 0)
     """
-    scale = np.array([
-        collective_efficiency(ens, timeline, float(tw), float(tr), 1.0)
-        for tw, tr in zip(schedule.write_times, schedule.readout_times)
-    ])
-    return np.clip(scale, 0.0, 1.0)
+    m = schedule.n_modes
+    scale = None
+    if timeline.drift_rate != 0.0:
+        if ens is None:
+            raise ValueError("a drifting timeline requires an ensemble for the deficit factors")
+        scale = np.clip([collective_efficiency(ens, timeline, float(tw), float(tr), 1.0)
+                         for tw, tr in zip(schedule.write_times, schedule.readout_times)],
+                        0.0, 1.0)
+    tally = run_trials(replace(mem, n_modes=m), schedule, n_trials, _child_seed(seed, m),
+                       readout=CYCLE, retrieval_scale=scale)
+    stats = estimate_statistics(tally)
+    p_w_total = float(tally.write_counts.sum()) / tally.n_trials
+    return p_w_total, float(np.nansum(np.diag(stats.p_wr))), stats
 
 
 def coincidence_scaling(
@@ -493,39 +506,21 @@ def coincidence_scaling(
 
     For each N in ``n_modes_values`` the gradient reverses right after the
     last write, readout times are programmed from the drift-free timeline,
-    and trials run with cycled fixed-mode readout so every mode's joint
-    write/read-pair probability is sampled.  The totals are
-
-        p_w_total  = sum_m p_hat_w(m)          (write clicks per train)
-        p_wr_total = sum_m p_hat_wr(m, m)      (write-read pairs per train,
-                                                each mode read in its slot;
-                                                a mode never read adds 0)
-
-    With ``drift_rate`` nonzero the actually applied timeline drifts, so each
-    mode's retrieval at its programmed time is scaled by the
-    :func:`rephasing_deficit` of ``ens`` (pass a motion-frozen ensemble).
+    and the train runs through :func:`run_train` under the reversal with
+    ``drift_rate`` (a nonzero rate needs ``ens``, a motion-frozen ensemble).
     Without decay, drift, and background (xi_eg = 0) the coincidence total is
     exactly linear in N; background pairs add a weak super-linear component
     since every stored mode contributes noise.
 
     Returns an array of rows (n_modes, p_w_total, p_wr_total).
     """
-    if drift_rate != 0.0 and ens is None:
-        raise ValueError("drift_rate != 0 requires an ensemble for the deficit factors")
     rows = []
     for n in n_modes_values:
         n = int(n)
-        mem_n = replace(mem, n_modes=n)
         t_rev = (n - 1) * mode_spacing + write_duration
-        nominal = FieldTimeline.reversal(gradient, t_rev)
-        schedule = build_schedule(n, mode_spacing, write_duration, nominal)
-        scale = None
-        if drift_rate != 0.0:
-            drifted = FieldTimeline.reversal(gradient, t_rev, drift_rate=drift_rate)
-            scale = rephasing_deficit(ens, drifted, schedule)
-        tally = run_trials(mem_n, schedule, n_trials, _child_seed(seed, n),
-                           readout=CYCLE, retrieval_scale=scale)
-        p_w_total = tally.write_counts.sum() / tally.n_trials
-        p_wr_total = float(np.nansum(np.diag(estimate_statistics(tally).p_wr)))
+        schedule = build_schedule(n, mode_spacing, write_duration,
+                                  FieldTimeline.reversal(gradient, t_rev))
+        applied = FieldTimeline.reversal(gradient, t_rev, drift_rate=drift_rate)
+        p_w_total, p_wr_total, _ = run_train(mem, schedule, applied, n_trials, seed, ens)
         rows.append((n, p_w_total, p_wr_total))
     return np.array(rows)

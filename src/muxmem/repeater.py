@@ -4,8 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-#: Speed of light in vacuum, m/s (exact in the SI).
-_C = 299792458.0
+from .cavity import SPEED_OF_LIGHT
 
 IMMEDIATE_REVERSAL = "immediate_reversal"
 FREEZE_RELEASE = "freeze_release"
@@ -26,7 +25,7 @@ class LinkParams:
     def __post_init__(self):
         if not self.distance > 0.0:
             raise ValueError("distance must be positive")
-        if not 0.0 < self.signal_velocity <= _C:
+        if not 0.0 < self.signal_velocity <= SPEED_OF_LIGHT:
             raise ValueError("signal_velocity must be positive and at most c")
         if self.n_modes < 1:
             raise ValueError("n_modes must be >= 1")

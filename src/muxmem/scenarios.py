@@ -33,15 +33,7 @@ from .ensemble import (
     sample_ensemble,
 )
 from .model import cross_correlation, g2_vs_storage, max_modes
-from .protocol import (
-    CYCLE,
-    _child_seed,
-    build_schedule,
-    crosstalk_matrix,
-    estimate_statistics,
-    rephasing_deficit,
-    run_trials,
-)
+from .protocol import build_schedule, crosstalk_matrix, run_train
 from .repeater import (
     FREEZE_RELEASE,
     IMMEDIATE_REVERSAL,
@@ -64,7 +56,7 @@ def _timeline(cfg: ScenarioConfig, n_modes: int) -> FieldTimeline:
     """Gradient timeline implied by the schedule block for an n-mode train."""
     sch = cfg.schedule
     t_last = (n_modes - 1) * sch.mode_spacing + sch.write_duration
-    if sch.policy == "freeze_release":
+    if sch.policy == FREEZE_RELEASE:
         return FieldTimeline.freeze_release(
             sch.gradient, sch.freeze_time, sch.release_time,
             bias=sch.bias, drift_rate=sch.drift_rate)
@@ -183,16 +175,10 @@ def _scenario_protocol_run(cfg):
     frozen = _ensemble(cfg, 0.0) if sch.drift_rate != 0.0 else None
     rows = []
     for n in cfg.options["n_modes_values"]:
-        mem = replace(cfg.memory, n_modes=n)
         timeline = _timeline(cfg, n)
         schedule = build_schedule(n, sch.mode_spacing, sch.write_duration, timeline)
-        scale = None if frozen is None else rephasing_deficit(frozen, timeline, schedule)
-        tally = run_trials(mem, schedule, cfg.n_trials,
-                           seed=_child_seed(cfg.rng_seed, n),
-                           readout=CYCLE, retrieval_scale=scale)
-        stats = estimate_statistics(tally)
-        p_w_total = float(tally.write_counts.sum()) / tally.n_trials
-        p_wr_total = float(np.nansum(np.diag(stats.p_wr)))
+        p_w_total, p_wr_total, stats = run_train(cfg.memory, schedule, timeline,
+                                                 cfg.n_trials, cfg.rng_seed, frozen)
         diag = np.diag(stats.g2)
         derr = np.diag(stats.g2_err)
         ok = np.isfinite(diag) & np.isfinite(derr) & (derr > 0)
@@ -268,7 +254,7 @@ def _scenario_repeater_rate(cfg):
         "latency_freeze_release_s": readout_latency(
             cfg.link, FREEZE_RELEASE,
             frozen_interval=(cfg.schedule.release_time - cfg.schedule.freeze_time)
-            if cfg.schedule.policy == "freeze_release" else 0.0),
+            if cfg.schedule.policy == FREEZE_RELEASE else 0.0),
     }
     return ScenarioResult(("n_modes", "multiplexed_rate_hz"), rows, summary)
 

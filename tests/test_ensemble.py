@@ -343,7 +343,7 @@ def test_constants_match_scipy():
     # scipy; a newer CODATA adjustment in scipy fails this on purpose.
     assert ensemble._KB == scipy.constants.k
     assert ensemble._AMU == scipy.constants.physical_constants["atomic mass constant"][0]
-    assert cavity._C == repeater._C == scipy.constants.c
+    assert cavity.SPEED_OF_LIGHT == repeater.SPEED_OF_LIGHT == scipy.constants.c
 
 
 def test_echo_peaks_at_rephasing_time():

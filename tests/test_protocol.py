@@ -17,7 +17,7 @@ from hypothesis.extra import numpy as hnp
 
 import muxmem
 from muxmem import protocol
-from muxmem.ensemble import FieldTimeline
+from muxmem.ensemble import FieldTimeline, collective_efficiency, sample_ensemble
 from muxmem.model import MemoryParams, cross_correlation, retrieval_given_write, write_prob
 from muxmem.protocol import (
     BLOCK_SIZE,
@@ -25,12 +25,14 @@ from muxmem.protocol import (
     FEED_FORWARD,
     CountsTally,
     ModeSchedule,
+    TallyStatistics,
     build_schedule,
     coincidence_scaling,
     crosstalk_matrix,
     estimate_statistics,
     heralded_autocorrelation,
     run_trials,
+    run_train,
     _DRAW_CHUNK,
     _block_rng,
     _draw_below,
@@ -329,6 +331,40 @@ def test_coincidence_scaling_single_mode_ratio_is_one():
                                n_trials=50000, seed=42)
     assert rows.shape == (1, 3)
     assert rows[0, 0] == 1
+
+
+def test_run_train_is_a_cycled_run_with_echo_deficits():
+    # Readouts programmed from the drift-free reversal, applied field drifting:
+    # the deficits span 0.2 to 1, so a wrong or missing scale shows.
+    m = 4
+    schedule = quick_schedule(m)
+    applied = FieldTimeline.reversal(2.0, 3 * 800e-9 + 266e-9, drift_rate=1e5)
+    ens = sample_ensemble(2000, 1e-3, 0.0, seed=9)
+    p_w_total, p_wr_total, stats = run_train(FIVE, schedule, applied, 20000, 5, ens)
+
+    scale = np.clip([collective_efficiency(ens, applied, tw, tr, 1.0)
+                     for tw, tr in zip(schedule.write_times, schedule.readout_times)],
+                    0.0, 1.0)
+    assert scale.min() < 0.5
+    tally = run_trials(replace(FIVE, n_modes=m), schedule, 20000, protocol._child_seed(5, m),
+                       readout=CYCLE, retrieval_scale=scale)
+    want = estimate_statistics(tally)
+    assert p_w_total == tally.write_counts.sum() / tally.n_trials
+    assert p_wr_total == np.nansum(np.diag(want.p_wr))
+    for f in dataclasses.fields(TallyStatistics):
+        np.testing.assert_array_equal(getattr(stats, f.name), getattr(want, f.name),
+                                      err_msg=f.name)
+
+
+def test_drifting_train_without_ensemble_raises():
+    applied = FieldTimeline.reversal(2.0, 800e-9 + 266e-9, drift_rate=2e4)
+    with mock.patch.object(protocol, "run_trials") as engine:
+        with pytest.raises(ValueError, match="ensemble"):
+            run_train(FIVE, quick_schedule(2), applied, 1000, 1)
+        with pytest.raises(ValueError, match="ensemble"):
+            coincidence_scaling(FIVE, [1, 2], 800e-9, 266e-9, gradient=2.0,
+                                drift_rate=2e4, n_trials=1000, seed=1)
+    engine.assert_not_called()
 
 
 def test_run_trials_validation():
