@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.constants import k as KB
 
 import muxmem
-from muxmem import cavity, ensemble, repeater
+from muxmem import cavity, ensemble
 from muxmem.ensemble import (
     ATOM_MASS,
     ECHO_CHUNK,
@@ -343,7 +343,7 @@ def test_constants_match_scipy():
     # scipy; a newer CODATA adjustment in scipy fails this on purpose.
     assert ensemble._KB == scipy.constants.k
     assert ensemble._AMU == scipy.constants.physical_constants["atomic mass constant"][0]
-    assert cavity.SPEED_OF_LIGHT == repeater.SPEED_OF_LIGHT == scipy.constants.c
+    assert cavity.SPEED_OF_LIGHT == scipy.constants.c
 
 
 def test_echo_peaks_at_rephasing_time():
