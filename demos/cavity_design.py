@@ -1,6 +1,6 @@
 """
-Choosing the outcoupler of a low-finesse ring resonator
-=======================================================
+Choosing the outcoupler of a low-finesse resonator
+==================================================
 
 A resonator around the read channel multiplies the retrieval rate, but only
 the light leaving through the outcoupling mirror is useful.  Raising the

@@ -1,11 +1,11 @@
 """Low-finesse optical resonator design math.
 
-Covers the figures of merit for a two-mirror standing-wave resonator built
-around an atomic ensemble: finesse and linewidth from the outcoupler
-transmission ``T`` and the residual round-trip loss ``L``, the escape
-probability of an intracavity photon, the emission enhancement into the
-resonant mode, and the spectral overlap of a finite-bandwidth pulse with the
-resonance.
+Covers the figures of merit for a resonator built around an atomic ensemble,
+described only by its round trip: the outcoupler transmission ``T``, the
+residual loss ``L`` and the length.  From these follow the finesse, free
+spectral range and linewidth, the escape probability of an intracavity
+photon, the emission enhancement into the resonant mode, and the spectral
+overlap of a finite-bandwidth pulse with the resonance.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ class PulseSpec:
 
 
 def finesse(cav: CavityParams) -> float:
-    """Finesse of a lossy two-mirror resonator.
+    """Finesse of a resonator with outcoupler transmission T and round-trip loss L.
 
         F = pi * ((1 - T)(1 - L))^(1/4) / (1 - ((1 - T)(1 - L))^(1/2))
     """

@@ -17,7 +17,6 @@ import sys
 from dataclasses import replace
 
 from .config import SCENARIOS, ConfigError, parse_config
-from .ensemble import NoRephasingError
 from .scenarios import emit_csv, emit_json, run_scenario
 
 
@@ -41,12 +40,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.config is not None:
-            try:
-                with open(args.config) as fh:
-                    text = fh.read()
-            except OSError as exc:
-                print(f"muxmem: cannot read config: {exc}", file=sys.stderr)
-                return 4
+            with open(args.config) as fh:
+                text = fh.read()
         else:
             text = ""
         cfg = parse_config(text, scenario=args.scenario)
@@ -72,7 +67,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"muxmem: config error: {exc}", file=sys.stderr)
         return 2
-    except (NoRephasingError, ValueError) as exc:
+    except ValueError as exc:
         print(f"muxmem: model error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

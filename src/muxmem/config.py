@@ -68,7 +68,7 @@ class ScenarioConfig:
     memory: MemoryParams = field(default_factory=lambda: MemoryParams(
         p=0.045, eta_w=0.3, eta_r=0.25, p_int0=0.4, beta_ratio=14.0, n_modes=10))
     cavity: CavityParams = field(default_factory=lambda: CavityParams(0.14, 0.11))
-    pulse: PulseSpec = field(default_factory=lambda: PulseSpec(266e-9))
+    pulse: PulseSpec = field(default_factory=lambda: PulseSpec(ScheduleConfig.write_duration))
     ensemble: EnsembleConfig = field(default_factory=EnsembleConfig)
     schedule: ScheduleConfig = field(default_factory=ScheduleConfig)
     link: LinkParams = field(default_factory=lambda: LinkParams(100e3))
@@ -256,8 +256,6 @@ def parse_config(text: str, scenario: str | None = None) -> ScenarioConfig:
             raise ConfigError(f"{key}: unknown key (allowed: {sorted(_TOP_KEYS)})")
 
     named = raw.get("scenario")
-    if named is not None:
-        _choice("scenario", named, SCENARIOS)
     if scenario is not None and named is not None and named != scenario:
         raise ConfigError(f"scenario: config names {named!r} but {scenario!r} was requested")
     chosen = scenario or named

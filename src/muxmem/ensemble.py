@@ -40,10 +40,12 @@ _T_REF = 40e-6
 #: Default spin-wave wavevector, rad/m: motional 1/e time of 72 us at 40 uK.
 K_SW_DEFAULT = 1.0 / (math.sqrt(_KB * _T_REF / ATOM_MASS) * 72e-6)
 
-_CM_PER_M = 100.0
+#: 2 pi 100: radians per cycle times centimeters per meter (gauss/cm * m to
+#: gauss), the factor of the gradient phase integrals.
+_PHASE_SCALE = 2.0 * math.pi * 100.0
 
 
-class NoRephasingError(RuntimeError):
+class NoRephasingError(ValueError):
     """The position-proportional phase integral never crosses zero."""
 
 
@@ -169,8 +171,7 @@ def _phase_coefficients(timeline: FieldTimeline, write_time: float, times: np.nd
         lo_arr = np.minimum(hi, lo)  # an array: array and float ** 3 round differently
         p_int += grad * ((hi - lo_arr) + d * (hi * hi - lo_arr * lo_arr) / 2.0)
         q_int += grad * (f(hi) - f(lo_arr))
-    scale = 2.0 * math.pi * _CM_PER_M
-    return scale * p_int, scale * q_int
+    return _PHASE_SCALE * p_int, _PHASE_SCALE * q_int
 
 
 def collective_efficiency(
@@ -347,7 +348,6 @@ def rephasing_time(timeline: FieldTimeline, write_time: float) -> float:
     # interior sign change of the drifting gradient A (1 + d t)
     if d != 0.0 and max(timeline.segments[0][0], write_time) < -1.0 / d < t_end:
         knots.add(-1.0 / d)
-    scale = 2.0 * math.pi * _CM_PER_M
     # I is monotone between knots, so the summed knot-to-knot steps are the
     # integral's total variation since the write: the scale against which a
     # knot value counts as zero.
@@ -357,14 +357,14 @@ def rephasing_time(timeline: FieldTimeline, write_time: float) -> float:
             return a
         grad = next((g for start, g in reversed(timeline.segments) if start <= a), 0.0)
         h, slope = b - a, 1.0 + d * a
-        fb = fa + scale * grad * (h * slope + d * h * h / 2.0)
+        fb = fa + _PHASE_SCALE * grad * (h * slope + d * h * h / 2.0)
         # Signs, not fa * fb, which underflows for a weak gradient; a zero
         # gradient leaves fb == fa, so a sign change needs grad != 0.
         if a > write_time and grad != 0.0 and (fb == 0.0 or (fa < 0.0) != (fb < 0.0)):
             # d/2 u^2 + slope u + c = 0 has the roots c/q and 2q/d, one on each
             # side of the flip at u = -slope/d: the piece holds one of them.
             # q != 0: |q| >= |slope|/2, and at slope = 0 a sign change needs d c < 0.
-            c = fa / (scale * grad)
+            c = fa / (_PHASE_SCALE * grad)
             disc = math.sqrt(max(slope * slope - 2.0 * d * c, 0.0))
             q = -0.5 * (slope + math.copysign(disc, slope))
             roots = [c / q] + ([2.0 * q / d] if d != 0.0 else [])
@@ -379,6 +379,13 @@ def rephasing_time(timeline: FieldTimeline, write_time: float) -> float:
 
 #: Gauss-Hermite creation-time nodes of :func:`echo_profiles` by default.
 QUADRATURE_NODES = 33
+
+#: Largest total normalized weight of the outer Gauss-Hermite nodes that
+#: :func:`_creation_nodes` drops, and so :func:`echo_profiles` leaves out.  At
+#: 33 nodes it drops 10 and moves the profile by at most this times
+#: ``p_int0``, far below the 33-node rule's own quadrature error (about 6e-3
+#: at a 1 us pulse).
+QUADRATURE_TAIL_WEIGHT = 1e-10
 
 
 def echo_profiles(
@@ -448,13 +455,6 @@ def echo_profile(
     shape (len(times), 2) with columns (time, efficiency).
     """
     return echo_profiles(ens, timeline, write_time, [pulse], p_int0, times, nodes)[0]
-
-
-#: Largest total normalized weight of the outer Gauss-Hermite nodes that
-#: :func:`echo_profile` leaves out.  It drops 10 of 33 nodes and moves the
-#: profile by at most this times ``p_int0``, far below the 33-node rule's own
-#: quadrature error (about 6e-3 at a 1 us pulse).
-QUADRATURE_TAIL_WEIGHT = 1e-10
 
 
 def _creation_nodes(nodes: int):

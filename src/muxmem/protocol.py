@@ -158,9 +158,6 @@ class Estimate:
     value: float
     stderr: float
 
-    def __bool__(self):
-        return not math.isnan(self.value)
-
 
 def _block_rng(seed: int, block_index: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(block_index,))
@@ -268,11 +265,8 @@ def run_trials(
             first[1:] = click_t[1:] != click_t[:-1]
             ff = first & ~uncond[click_t]
             read_mode[click_t[ff]] = click_m[ff]
-        elif readout == CYCLE:
-            read_mode = idx % m
-            uncond = np.ones(size, dtype=bool)
         else:
-            read_mode = np.full(size, readout, dtype=np.int64)
+            read_mode = idx % m if readout == CYCLE else np.full(size, readout, dtype=np.int64)
             uncond = np.ones(size, dtype=bool)
 
         # Coherent photon and thermal background for every reading trial rt,
@@ -481,7 +475,7 @@ def run_train(mem: MemoryParams, schedule: ModeSchedule, timeline: FieldTimeline
     if timeline.drift_rate != 0.0:
         if ens is None:
             raise ValueError("a drifting timeline requires an ensemble for the deficit factors")
-        scale = np.clip([collective_efficiency(ens, timeline, float(tw), float(tr), 1.0)
+        scale = np.clip([collective_efficiency(ens, timeline, float(tw), float(tr))
                          for tw, tr in zip(schedule.write_times, schedule.readout_times)],
                         0.0, 1.0)
     tally = run_trials(replace(mem, n_modes=m), schedule, n_trials, _child_seed(seed, m),

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -33,7 +34,7 @@ from .ensemble import (
     sample_ensemble,
 )
 from .model import cross_correlation, g2_vs_storage, max_modes
-from .protocol import build_schedule, crosstalk_matrix, run_train
+from .protocol import ModeSchedule, build_schedule, crosstalk_matrix, run_train
 from .repeater import (
     FREEZE_RELEASE,
     IMMEDIATE_REVERSAL,
@@ -52,16 +53,18 @@ class ScenarioResult:
     summary: dict
 
 
-def _timeline(cfg: ScenarioConfig, n_modes: int) -> FieldTimeline:
-    """Gradient timeline implied by the schedule block for an n-mode train."""
+def _train(cfg: ScenarioConfig, n_modes: int) -> tuple[FieldTimeline, ModeSchedule]:
+    """Gradient timeline of the schedule block for an n-mode train, and its schedule."""
     sch = cfg.schedule
-    t_last = (n_modes - 1) * sch.mode_spacing + sch.write_duration
     if sch.policy == FREEZE_RELEASE:
-        return FieldTimeline.freeze_release(
+        timeline = FieldTimeline.freeze_release(
             sch.gradient, sch.freeze_time, sch.release_time,
             bias=sch.bias, drift_rate=sch.drift_rate)
-    return FieldTimeline.reversal(
-        sch.gradient, t_last, bias=sch.bias, drift_rate=sch.drift_rate)
+    else:
+        t_last = (n_modes - 1) * sch.mode_spacing + sch.write_duration
+        timeline = FieldTimeline.reversal(
+            sch.gradient, t_last, bias=sch.bias, drift_rate=sch.drift_rate)
+    return timeline, build_schedule(n_modes, sch.mode_spacing, sch.write_duration, timeline)
 
 
 def _ensemble(cfg: ScenarioConfig, temperature: float) -> AtomEnsemble:
@@ -175,8 +178,7 @@ def _scenario_protocol_run(cfg):
     frozen = _ensemble(cfg, 0.0) if sch.drift_rate != 0.0 else None
     rows = []
     for n in cfg.options["n_modes_values"]:
-        timeline = _timeline(cfg, n)
-        schedule = build_schedule(n, sch.mode_spacing, sch.write_duration, timeline)
+        timeline, schedule = _train(cfg, n)
         p_w_total, p_wr_total, stats = run_train(cfg.memory, schedule, timeline,
                                                  cfg.n_trials, cfg.rng_seed, frozen)
         diag = np.diag(stats.g2)
@@ -199,21 +201,22 @@ def _scenario_protocol_run(cfg):
         ("n_modes", "p_w_total", "p_wr_total", "g2_avg", "g2_stderr"), rows, summary)
 
 
+def _finite_mean(values):
+    """Mean of the finite values, or None when there are none."""
+    values = values[np.isfinite(values)]
+    return float(values.mean()) if values.size else None
+
+
 def _scenario_crosstalk(cfg):
-    sch = cfg.schedule
     n = cfg.memory.n_modes
-    timeline = _timeline(cfg, n)
-    schedule = build_schedule(n, sch.mode_spacing, sch.write_duration, timeline)
+    _, schedule = _train(cfg, n)
     g2, g2_err = crosstalk_matrix(cfg.memory, schedule, cfg.n_trials, seed=cfg.rng_seed)
     rows = [(i, j, float(g2[i, j]), float(g2_err[i, j]))
             for i in range(n) for j in range(n)]
-    diag = np.diag(g2)
-    off = g2[~np.eye(n, dtype=bool)]
-    off = off[np.isfinite(off)]
     summary = {
         "n_modes": n,
-        "diagonal_mean": float(np.nanmean(diag)),
-        "offdiagonal_mean": float(off.mean()) if off.size else None,
+        "diagonal_mean": _finite_mean(np.diag(g2)),
+        "offdiagonal_mean": _finite_mean(g2[~np.eye(n, dtype=bool)]),
         "n_trials": cfg.n_trials,
     }
     return ScenarioResult(("write_mode", "read_mode", "g2", "g2_stderr"), rows, summary)
@@ -304,7 +307,9 @@ def emit_csv(path, result: ScenarioResult) -> None:
 
 
 def emit_json(path, result: ScenarioResult) -> None:
-    """Write the summary as sorted, indented JSON."""
+    """Write the summary as sorted, indented JSON; a NaN value is written as null."""
+    summary = {key: None if isinstance(value, float) and math.isnan(value) else value
+               for key, value in result.summary.items()}
     with open(path, "w") as fh:
-        json.dump(result.summary, fh, indent=2, sort_keys=True)
+        json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")

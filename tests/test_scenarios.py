@@ -53,6 +53,32 @@ def test_golden_files(scenario, tmp_path):
     assert got_json == (GOLDEN / f"{scenario}_summary.json").read_bytes()
 
 
+def strict_json(path):
+    """Parse a JSON file, rejecting NaN and Infinity, which JSON does not have."""
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(Path(path).read_text(), parse_constant=reject)
+
+
+def test_golden_summaries_are_strict_json():
+    for scenario in SCENARIOS:
+        strict_json(GOLDEN / f"{scenario}_summary.json")
+
+
+@pytest.mark.parametrize("scenario, config, trials, key", [
+    # No write click in 3 trials: every diagonal cell is undefined.
+    ("crosstalk", {"memory": {"n_modes": 5}}, "3", "diagonal_mean"),
+    # One trial cannot give a g2.
+    ("protocol-run", {}, "1", "g2_at_max_modes"),
+], ids=["crosstalk", "protocol-run"])
+def test_undefined_summary_values_are_null(tmp_path, scenario, config, trials, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"scenario": scenario, **config}))
+    assert main([scenario, "--config", str(path), "--out", str(tmp_path),
+                 "--trials", trials]) == 0
+    assert strict_json(tmp_path / f"{scenario}_summary.json")[key] is None
+
+
 def test_identical_config_identical_bytes(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):
@@ -121,6 +147,16 @@ def test_cli_max_modes_without_retrieval_exit_3(tmp_path, capsys):
     assert "zero read probability" in capsys.readouterr().err
 
 
+def test_cli_no_rephasing_exit_3(tmp_path, capsys):
+    # The release comes after the rephasing horizon, so the echo never forms.
+    bad = tmp_path / "late.json"
+    bad.write_text('{"scenario": "protocol-run", "schedule": {"policy": "freeze_release", '
+                   '"freeze_time_s": 1e-5, "release_time_s": 0.02}}')
+    assert main(["protocol-run", "--config", str(bad), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "model error" in err and "does not return to zero" in err
+
+
 def test_cli_freeze_at_time_zero_exit_2(tmp_path, capsys):
     bad = tmp_path / "freeze0.json"
     bad.write_text('{"scenario": "protocol-run", "schedule": {"policy": "freeze_release", '
@@ -144,9 +180,10 @@ def test_cli_reversed_scan_range_exit_2(tmp_path, capsys, scenario, options, mes
     assert not (tmp_path / f"{scenario}.csv").exists()
 
 
-def test_cli_missing_config_exit_4(tmp_path):
+def test_cli_missing_config_exit_4(tmp_path, capsys):
     assert main(["echo", "--config", str(tmp_path / "absent.json"),
                  "--out", str(tmp_path)]) == 4
+    assert "absent.json" in capsys.readouterr().err
 
 
 def test_cli_unwritable_out_exit_4(tmp_path):
