@@ -201,22 +201,19 @@ def _scenario_protocol_run(cfg):
         ("n_modes", "p_w_total", "p_wr_total", "g2_avg", "g2_stderr"), rows, summary)
 
 
-def _finite_mean(values):
-    """Mean of the finite values, or None when there are none."""
-    values = values[np.isfinite(values)]
-    return float(values.mean()) if values.size else None
-
-
 def _scenario_crosstalk(cfg):
     n = cfg.memory.n_modes
     _, schedule = _train(cfg, n)
     g2, g2_err = crosstalk_matrix(cfg.memory, schedule, cfg.n_trials, seed=cfg.rng_seed)
     rows = [(i, j, float(g2[i, j]), float(g2_err[i, j]))
             for i in range(n) for j in range(n)]
+    diag = np.diag(g2)
+    off = g2[~np.eye(n, dtype=bool)]
+    off = off[np.isfinite(off)]
     summary = {
         "n_modes": n,
-        "diagonal_mean": _finite_mean(np.diag(g2)),
-        "offdiagonal_mean": _finite_mean(g2[~np.eye(n, dtype=bool)]),
+        "diagonal_mean": float(np.nanmean(diag)) if np.isfinite(diag).any() else None,
+        "offdiagonal_mean": float(off.mean()) if off.size else None,
         "n_trials": cfg.n_trials,
     }
     return ScenarioResult(("write_mode", "read_mode", "g2", "g2_stderr"), rows, summary)

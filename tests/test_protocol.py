@@ -148,7 +148,7 @@ def test_feed_forward_diagonal_matches_model():
     model = cross_correlation(FIVE)
     for j in range(5):
         cell = stats.g2_cell(j, j)
-        assert cell
+        assert not math.isnan(cell.value)
         assert abs(cell.value - model) < 3.5 * cell.stderr
 
 
@@ -228,7 +228,7 @@ def test_zero_coincidences_one_sided():
     stats = estimate_statistics(tally)
     assert stats.g2[0, 0] == 0.0
     assert stats.g2_err[0, 0] == pytest.approx((1 / 100) / 0.1)
-    assert stats.g2_cell(0, 0)
+    assert not math.isnan(stats.g2_cell(0, 0).value)
 
 
 def test_empty_cells_are_nan():
@@ -287,7 +287,7 @@ def test_autocorrelation_mode_out_of_range(mode):
     tally.split_a[:] = 5
     tally.split_b[:] = 4
     tally.split_ab[:] = 1
-    assert heralded_autocorrelation(tally, 1)
+    assert not math.isnan(heralded_autocorrelation(tally, 1).value)
     with pytest.raises(ValueError, match=f"mode {mode} out of range"):
         heralded_autocorrelation(tally, mode)
 
