@@ -13,12 +13,14 @@ at its programmed readout.
 
 Trials are partitioned into fixed-size blocks, each driven by its own
 counter-derived Philox stream.  A block is tallied in one vectorized pass:
-the write clicks are listed once, and every count is an ``np.bincount`` by
-read mode, or by (herald mode, read mode) cell, over the block's reading
-trials and clicks.  The blocks run on a thread pool with one worker per
-usable CPU (at most one per block): worker w takes blocks w, w + W, ... into
-its own tally.  A block's two dense Bernoulli draws compare raw Philox words
-against exact integer bounds, chunk by chunk, with the bits of ``random() < q``
+the write clicks are listed once, read modes are slices of a pattern built
+once per call, and each family of counts is one ``np.bincount`` over a key
+that adds flags to the read mode or (herald mode, read mode) cell.  Cycled
+and fixed readouts read, unconditionally, in every trial, so they skip the
+gathers.  The blocks run on a thread pool with one worker per usable CPU (at
+most one per block): worker w takes blocks w, w + W, ... into its own tally.
+A block's two dense Bernoulli draws compare raw Philox words against exact
+integer bounds, chunk by chunk, with the bits of ``random() < q``
 (:func:`_draw_below`).  The worker tallies are then added field by field.
 Integer addition is exact and order-free, so every count has the same bits on
 any number of CPUs.
@@ -27,6 +29,7 @@ any number of CPUs.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass, fields, replace
 
@@ -179,6 +182,16 @@ def _draw_below(rng, q, out) -> None:
         np.less(words, limit, out=flat[lo:lo + words.size])
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int; a bool, float or string is a ValueError naming ``name``."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def run_trials(
     mem: MemoryParams,
     schedule: ModeSchedule,
@@ -205,10 +218,12 @@ def run_trials(
         raise ValueError(
             f"schedule has {schedule.n_modes} modes but params expect {m}"
         )
+    n_trials = _integer("n_trials", n_trials)
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
-    if readout not in (FEED_FORWARD, CYCLE):
-        readout = int(readout)
+    fixed = readout not in (FEED_FORWARD, CYCLE)
+    if fixed:
+        readout = _integer("readout", readout)
         if not 0 <= readout < m:
             raise ValueError(f"fixed readout mode {readout} out of range")
     scale = np.ones(m) if retrieval_scale is None else np.asarray(retrieval_scale, float)
@@ -226,12 +241,18 @@ def run_trials(
                       for n in nbar])
 
     n_blocks = (n_trials + BLOCK_SIZE - 1) // BLOCK_SIZE
+    # Read modes from an even block start: cycled trial start + k reads
+    # pattern[start % m + k]; feed-forward odd row 2k + 1, pattern[(start // 2) % m + k].
+    pattern = np.full(BLOCK_SIZE + m, readout) if fixed else np.arange(BLOCK_SIZE + m) % m
+    odd = np.arange(BLOCK_SIZE) % 2 == 1
 
     def count(keys, weights=None, n=m):
         """Integer histogram of ``keys`` over [0, n).
 
-        Weighted bincounts come back as float64; a block's sums stay far
-        below 2**53, so the cast back to int64 is exact.
+        A key k + K·f, with k < K and f a small integer flag, counts k for
+        every value of f in one call.  Weighted bincounts come back as
+        float64; the weights are photon counts, some times a 0/1 flag, so a
+        block's sums are integers far below 2**53 and the cast to int64 is exact.
         """
         c = np.bincount(keys, weights, minlength=n)
         return c if weights is None else c.astype(np.int64)
@@ -245,7 +266,6 @@ def run_trials(
         start = b * BLOCK_SIZE
         size = min(BLOCK_SIZE, n_trials - start)
         rng = _block_rng(seed, b)
-        idx = start + np.arange(size)
         spin, write = spin[:size], write[:size]
         _draw_below(rng, mem.p, spin)
         _draw_below(rng, mem.eta_w, write)
@@ -254,32 +274,34 @@ def run_trials(
         # ascending within a trial (flat indices are much faster than 2-D
         # np.nonzero).
         click_t, click_m = np.divmod(np.flatnonzero(write), m)
+        # Coherent-photon and background uniforms: one call, same stream.
+        u = rng.random(2 * size).reshape(2, size)
 
-        # Which mode each trial reads: -1 marks "no read" (unheralded
-        # feed-forward trials).  Fixed passes are flagged unconditional.
+        # Each reading trial rt reads mode r.  Feed-forward trials read the first
+        # heralded mode (-1: none), odd rows run unconditional fixed passes; cycled
+        # and fixed readouts read, unconditionally, in every trial: no gathers.
         if readout == FEED_FORWARD:
             read_mode = np.full(size, -1, dtype=np.int64)
-            uncond = idx % 2 == 1
-            read_mode[uncond] = (idx[uncond] // 2) % m
+            read_mode[1::2] = pattern[(start // 2) % m:][:size // 2]
             first = np.ones(click_t.size, dtype=bool)    # first click of its trial
             first[1:] = click_t[1:] != click_t[:-1]
-            ff = first & ~uncond[click_t]
+            ff = first & ~odd[click_t]
             read_mode[click_t[ff]] = click_m[ff]
+            rt = np.flatnonzero(read_mode >= 0)
+            r, u = read_mode[rt], u.take(rt, axis=1)
+            click_r = read_mode[click_t]
+            reading = click_r >= 0
+            ct, cm, cr = click_t[reading], click_m[reading], click_r[reading]
         else:
-            read_mode = idx % m if readout == CYCLE else np.full(size, readout, dtype=np.int64)
-            uncond = np.ones(size, dtype=bool)
-
-        # Coherent photon and thermal background for every reading trial rt,
-        # which reads mode r.
-        u_coh = rng.random(size)
-        u_geom = rng.random(size)
-        rt = np.flatnonzero(read_mode >= 0)
-        r = read_mode[rt]
-        coh = spin[rt, r] & (u_coh[rt] < p_coh[r])
-        noise = np.floor(np.log1p(-u_geom[rt]) / log_q[r]).astype(np.int64)
-        ph = coh + noise
-        n_photons = np.zeros(size, dtype=np.int64)
-        n_photons[rt] = ph
+            rt = np.arange(size)
+            r = pattern[start % m:][:size]
+            ct, cm, cr = click_t, click_m, r[click_t]
+        coh = spin.reshape(-1)[rt * m + r] & (u[0] < p_coh[r])
+        noise = np.floor(np.log1p(-u[1]) / log_q[r]).astype(np.int64)
+        ph = n_photons = coh + noise
+        if readout == FEED_FORWARD:
+            n_photons = np.zeros(size, dtype=np.int64)
+            n_photons[rt] = ph
 
         # Splitter: binomial split of each reading trial's photons.  A
         # binomial with n = 0 draws nothing, so skipping the trials without
@@ -287,36 +309,41 @@ def run_trials(
         n_a = np.zeros(size, dtype=np.int64)
         lit = np.flatnonzero(n_photons)
         n_a[lit] = rng.binomial(n_photons[lit], 0.5)
-        n_b = n_photons - n_a
 
         tally.n_trials += size
         tally.write_counts += count(click_m)
-        us = uncond[rt]
-        tally.n_reads += count(r)
-        tally.n_uncond_reads += count(r[us])
-        tally.unconditional_read_counts += count(r[us], ph[us])
-
         # (herald mode, read mode) cells: one key per write click of a
         # reading trial.
-        click_r = read_mode[click_t]
-        reading = click_r >= 0
-        ct, cm, cr = click_t[reading], click_m[reading], click_r[reading]
+        key = cm * m + cr
         ph_c = n_photons[ct]
-        cells = lambda weights=None: count(cm * m + cr, weights, m * m).reshape(m, m)
-        tally.herald_reads += cells()
-        tally.coincidence_counts += cells(ph_c)
-        tally.read_counts += cells(ph_c > 0)
-        tally.uncond_coincidence_counts += cells(ph_c * uncond[ct])
+        pairs = count(key, ph_c, m * m).reshape(m, m)
+        if readout == FEED_FORWARD:
+            us = odd[rt]
+            reads = count(r + m * us, n=2 * m).reshape(2, m)
+            tally.n_reads += reads[0] + reads[1]
+            tally.n_uncond_reads += reads[1]
+            tally.unconditional_read_counts += count(r, ph * us)
+            tally.uncond_coincidence_counts += count(key, ph_c * odd[ct], m * m).reshape(m, m)
+        else:
+            reads = count(r)
+            tally.n_reads += reads
+            tally.n_uncond_reads += reads
+            tally.unconditional_read_counts += count(r, ph)
+            tally.uncond_coincidence_counts += pairs
+        tally.coincidence_counts += pairs
+        lit_cells = count(key + m * m * (ph_c > 0), n=2 * m * m).reshape(2, m, m)
+        tally.herald_reads += lit_cells[0] + lit_cells[1]
+        tally.read_counts += lit_cells[1]
 
-        # Virtual splitter on heralded reads: a write click in the read mode.
+        # Virtual splitter on heralded reads (a write click in the read mode).
         her = cm == cr
         ht, hr = ct[her], cr[her]
-        arm_a = n_a[ht] > 0
-        arm_b = n_b[ht] > 0
-        tally.n_heralded_splits += count(hr)
-        tally.split_a += count(hr[arm_a])
-        tally.split_b += count(hr[arm_b])
-        tally.split_ab += count(hr[arm_a & arm_b])
+        a = n_a[ht]
+        arms = count(hr + m * ((a > 0) + 2 * (n_photons[ht] > a)), n=4 * m).reshape(4, m)
+        tally.n_heralded_splits += arms.sum(axis=0)
+        tally.split_a += arms[1] + arms[3]
+        tally.split_b += arms[2] + arms[3]
+        tally.split_ab += arms[3]
 
     # Worker w runs blocks w, w + W, ... into its own tally: a shared tally
     # would race, since += on a large array can release the GIL partway.

@@ -381,6 +381,23 @@ def test_run_trials_validation():
         run_trials(FIVE, quick_schedule(5), 1000, seed=1, readout=7)
 
 
+@pytest.mark.parametrize("name, bad", [("readout", 2.7), ("readout", True),
+                                       ("readout", "1"), ("n_trials", 1000.5),
+                                       ("n_trials", True)])
+def test_run_trials_rejects_non_integers(name, bad):
+    # A float mode would read its floor, and True or "1" mode 1, without this.
+    args = {"n_trials": 1000, "seed": 1, "readout": 0, name: bad}
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        run_trials(FIVE, quick_schedule(5), **args)
+
+
+def test_run_trials_takes_numpy_integers():
+    schedule = quick_schedule(5)
+    assert_tallies_equal(
+        run_trials(FIVE, schedule, np.int64(1000), seed=1, readout=np.int64(2)),
+        run_trials(FIVE, schedule, 1000, seed=1, readout=2))
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_retrieval_scale_rejects_non_finite(bad):
     # NaN fails both range comparisons, so it must be rejected explicitly
@@ -637,6 +654,26 @@ def test_vectorized_tally_equals_loop_reference(m, n_trials, seed, readout, xi_e
     assert_tallies_equal(
         run_trials(mem, schedule, n_trials, seed, readout=readout, retrieval_scale=scale),
         loop_run_trials(mem, schedule, n_trials, seed, readout, retrieval_scale=scale))
+
+
+@pytest.mark.parametrize("variant", ["plain", "dark", "scaled"])
+@pytest.mark.parametrize("readout", [FEED_FORWARD, CYCLE, "last"])
+@pytest.mark.parametrize("m", [3, 7])
+def test_multi_block_tally_equals_loop_reference(m, readout, variant):
+    # Six blocks, the last of 3 trials (an odd row count), so the cycled and
+    # feed-forward read patterns start mid-cycle: 4096·b and 2048·b are not
+    # multiples of m for b = 1, 2, 4, 5.
+    n_trials = 5 * BLOCK_SIZE + 3
+    readout = m - 1 if readout == "last" else readout
+    mem = replace(PINNED, n_modes=m, xi_eg=0.0 if variant == "dark" else 1.0)
+    scale = np.linspace(0.3, 0.9, m) if variant == "scaled" else None
+    schedule = quick_schedule(m)
+    got = run_trials(mem, schedule, n_trials, 2021, readout=readout, retrieval_scale=scale)
+    assert_tallies_equal(
+        got, loop_run_trials(mem, schedule, n_trials, 2021, readout, retrieval_scale=scale))
+    if readout != FEED_FORWARD:
+        np.testing.assert_array_equal(got.n_uncond_reads, got.n_reads)
+        np.testing.assert_array_equal(got.uncond_coincidence_counts, got.coincidence_counts)
 
 
 # Block counts around the pool sizes: one partial block; three blocks, the
