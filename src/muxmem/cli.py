@@ -6,7 +6,8 @@ Usage::
 
 Writes ``<scenario>.csv`` (the swept table) and ``<scenario>_summary.json``
 (headline numbers) into the output directory.  Exit codes: 0 success,
-2 configuration error, 3 model or numerical error, 4 I/O error.
+2 configuration error (undecodable JSON, an unknown key, a bad value or flag;
+the message names it), 3 model or numerical error, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import os
 import sys
 from dataclasses import replace
 
-from .config import SCENARIOS, ConfigError, parse_config
+from .config import RUN_SPECS, SCENARIOS, ConfigError, parse_config
 from .scenarios import emit_csv, emit_json, run_scenario
 
 
@@ -40,21 +41,16 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.config is not None:
-            with open(args.config) as fh:
+            with open(args.config, "rb") as fh:
                 text = fh.read()
         else:
             text = ""
         cfg = parse_config(text, scenario=args.scenario)
-        if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("--seed: must be >= 0")
-            cfg = replace(cfg, rng_seed=args.seed)
-        if args.trials is not None:
-            if args.trials < 1:
-                raise ConfigError("--trials: must be >= 1")
-            cfg = replace(cfg, n_trials=args.trials)
-        if args.out is not None:
-            cfg = replace(cfg, output_path=args.out)
+        for flag, key in (("--seed", "rng_seed"), ("--trials", "n_trials"),
+                          ("--out", "output_path")):
+            if (value := getattr(args, flag[2:])) is not None:
+                name, parser = RUN_SPECS[key]
+                cfg = replace(cfg, **{name: parser(flag, value)})
 
         result = run_scenario(cfg)
 

@@ -4,14 +4,15 @@ Config files are flat JSON objects with a ``scenario`` name, run controls
 (``rng_seed``, ``n_trials``, ``output_path``), optional parameter blocks
 (``memory``, ``cavity``, ``pulse``, ``ensemble``, ``schedule``, ``link``),
 and a scenario-specific ``options`` block.  Every key is optional except the
-scenario; unknown keys are rejected.  Keys carry unit suffixes (_s seconds,
-_m meters, _hz hertz, _g gauss, _g_per_cm gauss per centimeter).
+scenario.  Keys carry unit suffixes (_s seconds, _m meters, _hz hertz, _g
+gauss, _g_per_cm gauss per centimeter).
 
-Each parameter block is defined once, in :data:`BLOCK_SPECS`: its class, and
-for every JSON key the field it sets and the parser that validates it.
-Block defaults are the values of a default :class:`ScenarioConfig` and are
-written nowhere else; parsing fills missing keys from it and serialization
-walks the same table, so a key cannot be parsed without being written out.
+Every key is one row: (field, parser) in :data:`RUN_SPECS` and
+:data:`BLOCK_SPECS`, (default, parser) in :data:`OPTION_SPECS`.  One
+reader checks the root, each block and the options against their rows; the
+CLI checks its overrides with the run-control rows.  Other defaults are the
+values of a default :class:`ScenarioConfig`; serialization walks the same
+rows.  Any bad input, undecodable JSON included, raises :class:`ConfigError`.
 """
 
 from __future__ import annotations
@@ -78,7 +79,10 @@ class ScenarioConfig:
 def _num(path, v, lo=None, hi=None, unit=""):
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"{path}: expected a number{unit and f' ({unit})'}, got {v!r}")
-    v = float(v)
+    try:
+        v = float(v)
+    except OverflowError:  # a JSON integer beyond the float range
+        v = math.inf
     if not math.isfinite(v):
         raise ConfigError(f"{path}: must be finite{unit and f' ({unit})'}")
     if lo is not None and v < lo or hi is not None and v > hi:
@@ -113,14 +117,22 @@ def _int_list(path, v, lo=None):
     return [_int(f"{path}[{i}]", x, lo=lo) for i, x in enumerate(v)]
 
 
-def _block(raw, path, spec):
-    """Validate a block against {json_key: (field, parser)}; return {field: value}."""
+def _string(path, v):
+    if not isinstance(v, str):
+        raise ConfigError(f"{path}: expected a string, got {v!r}")
+    return v
+
+
+def _object(raw, path, spec):
+    """Read a JSON object (the root at ``path`` "", a block, or the options)
+    against {key: (field, parser)}; return {field: value}."""
     if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: expected an object")
+        raise ConfigError(f"{path or 'config root'}: expected an object")
+    at = f"{path}." if path else ""
     for key in raw:
         if key not in spec:
-            raise ConfigError(f"{path}.{key}: unknown key (allowed: {sorted(spec)})")
-    return {name: parser(f"{path}.{key}", raw[key]) for key, (name, parser) in spec.items()
+            raise ConfigError(f"{at}{key}: unknown key (allowed: {sorted(spec)})")
+    return {name: parser(at + key, raw[key]) for key, (name, parser) in spec.items()
             if key in raw}
 
 
@@ -234,12 +246,25 @@ SCENARIOS = tuple(OPTION_SPECS)
 #: lie above the start.
 _SCAN_RANGES = {"cavity-design": ("t_min", "t_max"), "echo": ("time_start_s", "time_stop_s")}
 
-_RUN_KEYS = ("scenario", "rng_seed", "n_trials", "output_path")
-_TOP_KEYS = (*_RUN_KEYS, *BLOCK_SPECS, "options")
+#: Run controls: {json key: (field, parser)}, rows like a block's.  The
+#: CLI's --seed, --trials and --out overrides are checked by the same rows.
+RUN_SPECS = {
+    "scenario": ("scenario", lambda p, v: _choice(p, v, SCENARIOS)),
+    "rng_seed": ("rng_seed", lambda p, v: _int(p, v, 0)),
+    "n_trials": ("n_trials", lambda p, v: _int(p, v, 1)),
+    "output_path": ("output_path", _string),
+}
+
+#: The config root: run controls, one row per block, and the options, which
+#: are read against the scenario's spec once the scenario is known.
+_ROOT_SPEC = {**RUN_SPECS,
+              **{name: (name, lambda p, v, spec=spec: _object(v, p, spec))
+                 for name, (_, spec) in BLOCK_SPECS.items()},
+              "options": ("options", lambda p, v: v)}
 
 
-def parse_config(text: str, scenario: str | None = None) -> ScenarioConfig:
-    """Parse and validate a JSON config string into a :class:`ScenarioConfig`.
+def parse_config(text: str | bytes, scenario: str | None = None) -> ScenarioConfig:
+    """Parse and validate a JSON config (text, or bytes in a JSON encoding).
 
     ``scenario`` supplies or cross-checks the scenario named in the file.
     Missing keys take documented defaults; unknown keys, malformed JSON, and
@@ -247,37 +272,21 @@ def parse_config(text: str, scenario: str | None = None) -> ScenarioConfig:
     """
     try:
         raw = json.loads(text) if text.strip() else {}
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
-    for key in raw:
-        if key not in _TOP_KEYS:
-            raise ConfigError(f"{key}: unknown key (allowed: {sorted(_TOP_KEYS)})")
+    top = _object(raw, "", _ROOT_SPEC)
 
-    named = raw.get("scenario")
+    named = top.get("scenario")
     if scenario is not None and named is not None and named != scenario:
         raise ConfigError(f"scenario: config names {named!r} but {scenario!r} was requested")
-    chosen = scenario or named
-    if chosen is None:
+    if scenario is None and named is None:
         raise ConfigError("scenario: missing (pass on the command line or in the config)")
-    _choice("scenario", chosen, SCENARIOS)
-
-    given = {name: _block(raw.get(name, {}), name, spec)
-             for name, (_, spec) in BLOCK_SPECS.items()}
+    chosen = RUN_SPECS["scenario"][1]("scenario", scenario or named)
 
     opt_spec = OPTION_SPECS[chosen]
-    raw_opt = raw.get("options", {})
-    if not isinstance(raw_opt, dict):
-        raise ConfigError("options: expected an object")
-    for key in raw_opt:
-        if key not in opt_spec:
-            raise ConfigError(
-                f"options.{key}: unknown key for scenario {chosen!r} "
-                f"(allowed: {sorted(opt_spec)})"
-            )
-    options = {key: (parser(f"options.{key}", raw_opt[key]) if key in raw_opt else default)
-               for key, (default, parser) in opt_spec.items()}
+    given = _object(top.get("options", {}), "options",
+                    {key: (key, parser) for key, (_, parser) in opt_spec.items()})
+    options = {key: given.get(key, default) for key, (default, _) in opt_spec.items()}
     if chosen in _SCAN_RANGES:
         start, stop = _SCAN_RANGES[chosen]
         if not options[start] < options[stop]:
@@ -286,8 +295,8 @@ def parse_config(text: str, scenario: str | None = None) -> ScenarioConfig:
 
     defaults = ScenarioConfig(scenario=chosen)
     try:
-        blocks = {name: replace(getattr(defaults, name), **values)
-                  for name, values in given.items()}
+        blocks = {name: replace(getattr(defaults, name), **top.get(name, {}))
+                  for name in BLOCK_SPECS}
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -305,19 +314,12 @@ def parse_config(text: str, scenario: str | None = None) -> ScenarioConfig:
         if not schedule.freeze_time < schedule.release_time:
             raise ConfigError("schedule.freeze_time_s: must be before release_time_s")
 
-    rng_seed = _int("rng_seed", raw.get("rng_seed", defaults.rng_seed), 0)
-    n_trials = _int("n_trials", raw.get("n_trials", defaults.n_trials), 1)
-    output_path = raw.get("output_path", defaults.output_path)
-    if not isinstance(output_path, str):
-        raise ConfigError("output_path: expected a string")
-    return ScenarioConfig(scenario=chosen, rng_seed=rng_seed, n_trials=n_trials,
-                          output_path=output_path, options=options, **blocks)
+    return ScenarioConfig(**{**top, **blocks, "scenario": chosen, "options": options})
 
 
 def serialize_config(cfg: ScenarioConfig) -> str:
     """Serialize with every default materialized; parse round-trips exactly."""
-    doc = {key: getattr(cfg, key) for key in (*_RUN_KEYS, "options")}
+    doc = {key: getattr(cfg, name) for key, (name, _) in _ROOT_SPEC.items()}
     for name, (_, spec) in BLOCK_SPECS.items():
-        block = getattr(cfg, name)
-        doc[name] = {key: getattr(block, attr) for key, (attr, _) in spec.items()}
+        doc[name] = {key: getattr(doc[name], attr) for key, (attr, _) in spec.items()}
     return json.dumps(doc, indent=2, sort_keys=True)

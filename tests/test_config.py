@@ -16,6 +16,7 @@ from muxmem.config import (
     parse_config,
     serialize_config,
 )
+from muxmem.scenarios import _RUNNERS
 
 
 def test_defaults_applied():
@@ -138,7 +139,27 @@ def test_schedule_consistency_checks():
 
 
 def test_every_scenario_has_option_spec():
-    assert set(OPTION_SPECS) == set(SCENARIOS)
+    # The option table and the runner table are the two scenario registries.
+    assert set(OPTION_SPECS) == set(_RUNNERS)
+
+
+ROOT_KEYS = sorted(["scenario", "rng_seed", "n_trials", "output_path", *BLOCK_SPECS, "options"])
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([1, 2], "config root: expected an object"),
+    ({"bogus": 1}, f"bogus: unknown key (allowed: {ROOT_KEYS})"),
+    ({"memory": [0.1]}, "memory: expected an object"),
+    ({"memory": {"xi": 0.5}},
+     f"memory.xi: unknown key (allowed: {sorted(BLOCK_SPECS['memory'][1])})"),
+    ({"options": "fast"}, "options: expected an object"),
+    ({"options": {"threshold": 5.8}},
+     f"options.threshold: unknown key (allowed: {sorted(OPTION_SPECS['mode-sweep'])})"),
+], ids=["root-type", "root-key", "block-type", "block-key", "options-type", "options-key"])
+def test_one_reader_names_the_path(doc, message):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(json.dumps(doc), scenario="mode-sweep")
+    assert str(exc.value) == message
 
 
 def test_negative_seed_rejected():

@@ -180,6 +180,49 @@ def test_cli_reversed_scan_range_exit_2(tmp_path, capsys, scenario, options, mes
     assert not (tmp_path / f"{scenario}.csv").exists()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--seed", "-1", "--seed: must be >= 0, got -1"),
+    ("--trials", "0", "--trials: must be >= 1, got 0"),
+], ids=["seed", "trials"])
+def test_cli_override_out_of_range_exit_2(tmp_path, capsys, flag, value, message):
+    assert main(["repeater-rate", "--out", str(tmp_path), flag, value]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "repeater-rate.csv").exists()
+
+
+HUGE = "1" + "0" * 400  # a JSON integer that float() cannot hold
+
+
+@pytest.mark.parametrize("scenario, text, message", [
+    ("echo", f'{{"memory": {{"p": {HUGE}}}}}', "memory.p: must be finite"),
+    ("mode-sweep", f'{{"options": {{"beta_values": [{HUGE}]}}}}',
+     "options.beta_values[0]: must be finite"),
+], ids=["block", "list-option"])
+def test_cli_huge_integer_exit_2(tmp_path, capsys, scenario, text, message):
+    bad = tmp_path / "huge.json"
+    bad.write_text(text)
+    assert main([scenario, "--config", str(bad), "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("data", [
+    b'{"scenario": "echo", "output_path": "caf\xe9"}',  # Latin-1, not UTF-8
+    b"[" * 10**5 + b"]" * 10**5,  # nested past the decoder's recursion limit
+], ids=["latin-1", "deep"])
+def test_cli_undecodable_config_exit_2(tmp_path, capsys, data):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(data)
+    assert main(["echo", "--config", str(bad), "--out", str(tmp_path)]) == 2
+    assert "config error: config is not valid JSON" in capsys.readouterr().err
+
+
+def test_cli_config_with_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.json"
+    path.write_bytes(b'\xef\xbb\xbf{"scenario": "repeater-rate"}')
+    assert main(["repeater-rate", "--config", str(path), "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "repeater-rate.csv").exists()
+
+
 def test_cli_missing_config_exit_4(tmp_path, capsys):
     assert main(["echo", "--config", str(tmp_path / "absent.json"),
                  "--out", str(tmp_path)]) == 4
