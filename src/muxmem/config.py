@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 from .cavity import SPEED_OF_LIGHT, CavityParams, PulseSpec
-from .ensemble import K_SW_DEFAULT, ZEEMAN_COEFF_DEFAULT
+from .ensemble import K_SW_DEFAULT, TEMPERATURE_DEFAULT, ZEEMAN_COEFF_DEFAULT
 from .model import DECAY_SHAPES, MemoryParams
 from .repeater import FREEZE_RELEASE, LinkParams
 
@@ -39,7 +39,7 @@ class ConfigError(ValueError):
 class EnsembleConfig:
     n_atoms: int = 10000
     cloud_sigma: float = 1e-3
-    temperature: float = 40e-6
+    temperature: float = TEMPERATURE_DEFAULT
     k_sw: float | None = None
     zeeman_coeff: float = ZEEMAN_COEFF_DEFAULT
 
@@ -76,9 +76,15 @@ class ScenarioConfig:
     options: dict = field(default_factory=dict)
 
 
+def _shown(v):
+    """``repr(v)`` for a message, cut to 80 characters ending in "..." if longer."""
+    r = repr(v)
+    return r if len(r) <= 80 else r[:77] + "..."
+
+
 def _num(path, v, lo=None, hi=None, unit=""):
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{path}: expected a number{unit and f' ({unit})'}, got {v!r}")
+        raise ConfigError(f"{path}: expected a number{unit and f' ({unit})'}, got {_shown(v)}")
     try:
         v = float(v)
     except OverflowError:  # a JSON integer beyond the float range
@@ -93,7 +99,7 @@ def _num(path, v, lo=None, hi=None, unit=""):
 
 def _int(path, v, lo=None, unit=""):
     if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"{path}: expected an integer{unit and f' ({unit})'}, got {v!r}")
+        raise ConfigError(f"{path}: expected an integer{unit and f' ({unit})'}, got {_shown(v)}")
     if lo is not None and v < lo:
         raise ConfigError(f"{path}: must be >= {lo}{unit and f' ({unit})'}, got {v}")
     return v
@@ -101,25 +107,19 @@ def _int(path, v, lo=None, unit=""):
 
 def _choice(path, v, allowed):
     if v not in allowed:
-        raise ConfigError(f"{path}: must be one of {allowed}, got {v!r}")
+        raise ConfigError(f"{path}: must be one of {allowed}, got {_shown(v)}")
     return v
 
 
-def _num_list(path, v, lo=None, unit=""):
+def _list(path, v, item, items, lo=None, unit=""):
     if not isinstance(v, list) or not v:
-        raise ConfigError(f"{path}: expected a non-empty list of numbers{unit and f' ({unit})'}")
-    return [_num(f"{path}[{i}]", x, lo=lo, unit=unit) for i, x in enumerate(v)]
-
-
-def _int_list(path, v, lo=None):
-    if not isinstance(v, list) or not v:
-        raise ConfigError(f"{path}: expected a non-empty list of integers")
-    return [_int(f"{path}[{i}]", x, lo=lo) for i, x in enumerate(v)]
+        raise ConfigError(f"{path}: expected a non-empty list of {items}{unit and f' ({unit})'}")
+    return [item(f"{path}[{i}]", x, lo=lo, unit=unit) for i, x in enumerate(v)]
 
 
 def _string(path, v):
     if not isinstance(v, str):
-        raise ConfigError(f"{path}: expected a string, got {v!r}")
+        raise ConfigError(f"{path}: expected a string, got {_shown(v)}")
     return v
 
 
@@ -196,14 +196,14 @@ BLOCK_SPECS = {
 OPTION_SPECS = {
     "mode-sweep": {
         "beta_values": ([1.0, 11.0, 21.0, 31.0, 41.0, 51.0, 61.0, 71.0, 81.0],
-                        lambda p, v: _num_list(p, v, lo=1, unit="dimensionless")),
+                        lambda p, v: _list(p, v, _num, "numbers", lo=1, unit="dimensionless")),
         "n_modes_max": (60, lambda p, v: _int(p, v, 1)),
     },
     "max-modes": {
         "beta_values": ([float(b) for b in range(1, 82, 2)],
-                        lambda p, v: _num_list(p, v, lo=1, unit="dimensionless")),
+                        lambda p, v: _list(p, v, _num, "numbers", lo=1, unit="dimensionless")),
         "p_int_values": ([0.4, 0.55, 0.7, 0.85, 1.0],
-                         lambda p, v: _num_list(p, v, lo=0, unit="efficiency")),
+                         lambda p, v: _list(p, v, _num, "numbers", lo=0, unit="efficiency")),
         "threshold": (5.8, lambda p, v: _num(p, v, 1.000001, None, "dimensionless")),
     },
     "cavity-design": {
@@ -213,20 +213,20 @@ OPTION_SPECS = {
     },
     "pulse-enhancement": {
         "durations_s": ([25e-9, 133e-9, 266e-9, 532e-9, 1064e-9],
-                        lambda p, v: _num_list(p, v, lo=1e-12, unit="seconds")),
+                        lambda p, v: _list(p, v, _num, "numbers", lo=1e-12, unit="seconds")),
         "detuning_span_hz": (40e6, lambda p, v: _num(p, v, 0, None, "Hz")),
         "n_points": (81, lambda p, v: _int(p, v, 2)),
     },
     "echo": {
         "durations_s": ([133e-9, 266e-9, 532e-9, 1064e-9],
-                        lambda p, v: _num_list(p, v, lo=1e-12, unit="seconds")),
+                        lambda p, v: _list(p, v, _num, "numbers", lo=1e-12, unit="seconds")),
         "reverse_time_s": (2e-6, lambda p, v: _num(p, v, 1e-9, None, "seconds")),
         "time_start_s": (2.5e-6, lambda p, v: _num(p, v, 0, None, "seconds")),
         "time_stop_s": (5.5e-6, lambda p, v: _num(p, v, 1e-9, None, "seconds")),
         "n_points": (181, lambda p, v: _int(p, v, 2)),
     },
     "protocol-run": {
-        "n_modes_values": (list(range(1, 11)), lambda p, v: _int_list(p, v, lo=1)),
+        "n_modes_values": (list(range(1, 11)), lambda p, v: _list(p, v, _int, "integers", lo=1)),
     },
     "crosstalk": {},
     "storage-decay": {
@@ -236,7 +236,7 @@ OPTION_SPECS = {
     },
     "repeater-rate": {
         "per_mode_success": (1e-3, lambda p, v: _num(p, v, 0, 1, "probability")),
-        "n_modes_values": (list(range(1, 11)), lambda p, v: _int_list(p, v, lo=1)),
+        "n_modes_values": (list(range(1, 11)), lambda p, v: _list(p, v, _int, "integers", lo=1)),
     },
 }
 

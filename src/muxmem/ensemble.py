@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import MemoryParams, _integer
+
 #: Boltzmann constant, J/K (exact in the 2019 SI).
 _KB = 1.380649e-23
 
@@ -34,11 +36,11 @@ ATOM_MASS = 86.909 * _AMU
 #: Linear Zeeman coefficient of the storage transition, Hz per gauss.
 ZEEMAN_COEFF_DEFAULT = 1.4e6
 
-#: Reference temperature for the default spin-wave wavevector, K.
-_T_REF = 40e-6
+#: Default cloud temperature, K, and the reference of :data:`K_SW_DEFAULT`.
+TEMPERATURE_DEFAULT = 40e-6
 
-#: Default spin-wave wavevector, rad/m: motional 1/e time of 72 us at 40 uK.
-K_SW_DEFAULT = 1.0 / (math.sqrt(_KB * _T_REF / ATOM_MASS) * 72e-6)
+#: Default spin-wave wavevector, rad/m: motional 1/e time of the default tau_mem at 40 uK.
+K_SW_DEFAULT = 1.0 / (math.sqrt(_KB * TEMPERATURE_DEFAULT / ATOM_MASS) * MemoryParams.tau_mem)
 
 #: 2 pi 100: radians per cycle times centimeters per meter (gauss/cm * m to
 #: gauss), the factor of the gradient phase integrals.
@@ -85,7 +87,7 @@ def sample_ensemble(
     ``temperature`` the kinetic temperature (K); 0 freezes the motion.
     Deterministic for a given seed.
     """
-    if n_atoms < 1:
+    if _integer("n_atoms", n_atoms) < 1:
         raise ValueError("n_atoms must be >= 1")
     if cloud_sigma < 0.0 or temperature < 0.0:
         raise ValueError("cloud_sigma and temperature must be >= 0")
@@ -422,7 +424,7 @@ def echo_profiles(
     Returns a list with one array per pulse, each of shape (len(times), 2)
     with columns (time, efficiency).
     """
-    if nodes < 3:
+    if _integer("nodes", nodes) < 3:
         raise ValueError("need at least 3 quadrature nodes")
     times = np.asarray(times, dtype=float)
     x, w = _creation_nodes(nodes)

@@ -16,6 +16,7 @@ photon numbers well under one).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -26,6 +27,16 @@ UNBOUNDED = math.inf
 
 #: Names accepted for ``MemoryParams.decay_shape``.
 DECAY_SHAPES = ("exponential", "gaussian")
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int; a bool, float or string is a ValueError naming ``name``."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -74,7 +85,7 @@ class MemoryParams:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
         if self.beta_ratio < 1.0:
             raise ValueError(f"beta_ratio must be >= 1, got {self.beta_ratio}")
-        if self.n_modes < 1 or int(self.n_modes) != self.n_modes:
+        if _integer("n_modes", self.n_modes) < 1:
             raise ValueError(f"n_modes must be a positive integer, got {self.n_modes}")
         if not self.tau_mem > 0.0:
             raise ValueError(f"tau_mem must be positive, got {self.tau_mem}")
@@ -237,7 +248,7 @@ def g2_vs_storage(params: MemoryParams, times) -> np.ndarray:
     Parameters
     ----------
     times : array_like
-        Storage times in seconds, each >= 0.
+        Storage times in seconds, each >= 0 (``p_int`` rejects a negative one).
 
     Returns
     -------
@@ -245,7 +256,5 @@ def g2_vs_storage(params: MemoryParams, times) -> np.ndarray:
         Columns (time, g2).
     """
     times = np.asarray(times, dtype=float)
-    if np.any(times < 0.0):
-        raise ValueError("storage times must be >= 0")
     g2 = np.array([cross_correlation(params, float(t)) for t in times])
     return np.column_stack([times, g2])

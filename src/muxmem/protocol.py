@@ -3,9 +3,9 @@
 Each trial writes every temporal mode of a train (at most one excitation per
 mode), records heralding write clicks, reads one mode back at its programmed
 readout time, and tallies detected read photons together with a virtual
-balanced splitter for autocorrelation estimates.  Background light in the
-read window is thermal with the analytic model's mean, so the tallies
-reproduce the closed-form statistics of :mod:`muxmem.model` in expectation.
+balanced splitter for autocorrelation estimates.  Background light in the read
+window is thermal with mean :func:`muxmem.model.noise_given_write`, so the
+tallies reproduce the closed-form statistics of :mod:`muxmem.model` in expectation.
 Readout times come from a gradient timeline alone (:func:`build_schedule`).
 :func:`run_train` runs one train with every mode read in turn; under a
 drifting applied field it scales each mode's retrieval by the echo contrast
@@ -29,14 +29,13 @@ any number of CPUs.
 from __future__ import annotations
 
 import math
-import operator
 import os
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .ensemble import FieldTimeline, collective_efficiency, rephasing_time
-from .model import MemoryParams
+from .model import MemoryParams, _integer, noise_given_write
 
 #: Trials per RNG block.  Fixed: it is part of the determinism contract.
 BLOCK_SIZE = 4096
@@ -108,7 +107,7 @@ def build_schedule(
     """
     if not 0.0 < write_duration < mode_spacing:
         raise ValueError("need 0 < write_duration < mode_spacing")
-    write_times = np.arange(n_modes) * mode_spacing
+    write_times = np.arange(_integer("n_modes", n_modes)) * mode_spacing
     readout_times = np.array([rephasing_time(timeline, float(tw)) for tw in write_times])
     final_step = timeline.segments[-1][0]
     if np.any(readout_times <= final_step):
@@ -182,16 +181,6 @@ def _draw_below(rng, q, out) -> None:
         np.less(words, limit, out=flat[lo:lo + words.size])
 
 
-def _integer(name: str, value) -> int:
-    """``value`` as an int; a bool, float or string is a ValueError naming ``name``."""
-    try:
-        if isinstance(value, bool):
-            raise TypeError
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
-
 def run_trials(
     mem: MemoryParams,
     schedule: ModeSchedule,
@@ -207,11 +196,12 @@ def run_trials(
     to normalize the statistics), :data:`CYCLE` (every trial is an
     unconditional fixed-mode pass, cycling through the modes), or an integer
     mode index for fixed-mode readout of every trial.  ``retrieval_scale``
-    optionally multiplies the decayed intrinsic retrieval per mode, for
-    coupling in externally computed rephasing deficits.  Deterministic for
-    fixed (seed, n_trials): the blocks run concurrently, one thread per
-    usable CPU, but each block has its own Philox stream and the per-worker
-    tallies are summed as integers, so the bits do not depend on the CPU count.
+    optionally multiplies the decayed intrinsic retrieval per mode (external
+    rephasing deficits); the background mean is ``model.noise_given_write``.
+    Deterministic for fixed (seed, n_trials): the blocks run concurrently,
+    one thread per usable CPU, but each block has its own Philox stream and
+    the per-worker tallies are summed as integers, so the bits do not depend
+    on the CPU count.
     """
     m = mem.n_modes
     if schedule.n_modes != m:
@@ -231,10 +221,8 @@ def run_trials(
     if scale.shape != (m,) or not np.all((scale >= 0.0) & (scale <= 1.0)):
         raise ValueError("retrieval_scale must be per-mode factors in [0, 1]")
 
-    pint_t = mem.p_int(schedule.storage_times)      # decayed retrieval per mode
-    pint_eff = pint_t * scale                        # with external deficits
-    nbar = mem.p * (m - pint_t) * mem.xi_eg / mem.beta_ratio * mem.eta_r
-    p_coh = pint_eff * mem.eta_r
+    p_coh = mem.p_int(schedule.storage_times) * scale * mem.eta_r
+    nbar = noise_given_write(mem, schedule.storage_times)
     # Bose-Einstein photon number via inverse-CDF of the geometric law with
     # q = 1 / (1 + nbar); log(1 - q) = -inf for nbar = 0 gives no photons.
     log_q = np.array([math.log1p(-1.0 / (1.0 + n)) if n > 0 else -math.inf
@@ -537,7 +525,7 @@ def coincidence_scaling(
     """
     rows = []
     for n in n_modes_values:
-        n = int(n)
+        n = _integer("n_modes_values", n)
         t_rev = (n - 1) * mode_spacing + write_duration
         schedule = build_schedule(n, mode_spacing, write_duration,
                                   FieldTimeline.reversal(gradient, t_rev))

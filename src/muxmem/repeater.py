@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cavity import SPEED_OF_LIGHT
+from .model import _integer
 
 IMMEDIATE_REVERSAL = "immediate_reversal"
 FREEZE_RELEASE = "freeze_release"
@@ -27,7 +28,7 @@ class LinkParams:
             raise ValueError("distance must be positive")
         if not 0.0 < self.signal_velocity <= SPEED_OF_LIGHT:
             raise ValueError("signal_velocity must be positive and at most c")
-        if self.n_modes < 1:
+        if _integer("n_modes", self.n_modes) < 1:
             raise ValueError("n_modes must be >= 1")
         if self.herald_time < 0.0 or self.decision_delay < 0.0:
             raise ValueError("herald_time and decision_delay must be >= 0")

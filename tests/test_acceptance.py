@@ -43,7 +43,6 @@ from muxmem.model import (
     write_prob,
 )
 from muxmem.protocol import (
-    build_schedule,
     coincidence_scaling,
     crosstalk_matrix,
     estimate_statistics,
@@ -51,6 +50,8 @@ from muxmem.protocol import (
     run_trials,
 )
 from muxmem.repeater import IMMEDIATE_REVERSAL, LinkParams, readout_latency, repetition_rate
+
+from conftest import reversal_schedule
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -61,12 +62,6 @@ PAPER_MEMORY = MemoryParams(p=0.045, eta_w=0.3, eta_r=0.25, p_int0=0.4,
 def report(name, ok, detail):
     print(f"acceptance {name}: {'PASS' if ok else 'FAIL'} ({detail})")
     assert ok, detail
-
-
-def reversal_schedule(n_modes, spacing=800e-9, write_duration=266e-9):
-    t_last = (n_modes - 1) * spacing + write_duration
-    return build_schedule(n_modes, spacing, write_duration,
-                          FieldTimeline.reversal(2.0, t_last))
 
 
 def test_criterion_01_cavity_numbers():

@@ -162,6 +162,38 @@ def test_one_reader_names_the_path(doc, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"scenario": "echo", "memory": {"decay_shape": "linear"}},
+     "memory.decay_shape: must be one of ('exponential', 'gaussian'), got 'linear'"),
+    ({"scenario": "protocol-run", "options": {"n_modes_values": 5}},
+     "options.n_modes_values: expected a non-empty list of integers"),
+    ({"scenario": "protocol-run", "options": {"n_modes_values": [1, 2.5]}},
+     "options.n_modes_values[1]: expected an integer, got 2.5"),
+    ({"scenario": "mode-sweep", "options": {"beta_values": []}},
+     "options.beta_values: expected a non-empty list of numbers (dimensionless)"),
+    ({"scenario": "mode-sweep", "options": {"beta_values": [2.0, 0.5]}},
+     "options.beta_values[1]: must be >= 1 (dimensionless), got 0.5"),
+    ({"scenario": "echo", "output_path": 3}, "output_path: expected a string, got 3"),
+    ({"scenario": "protocol-run",
+      "schedule": {"policy": "freeze_release", "freeze_time_s": 9e-6, "release_time_s": 9e-6}},
+     "schedule.freeze_time_s: must be before release_time_s"),
+], ids=["decay-shape", "int-list-type", "int-list-item", "num-list-empty", "num-list-item",
+        "output-path", "freeze-not-before-release"])
+def test_bad_value_message(doc, message):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(json.dumps(doc))
+    assert str(exc.value) == message
+
+
+def test_long_bad_value_is_cut():
+    with pytest.raises(ConfigError) as exc:
+        parse_config(json.dumps({"scenario": "echo", "memory": {"p": [0.5] * 2001}}))
+    message = str(exc.value)
+    assert message.startswith("memory.p: expected a number (probability), got [0.5, 0.5, ")
+    assert message.endswith("...")
+    assert len(message) < 150
+
+
 def test_negative_seed_rejected():
     with pytest.raises(ConfigError, match="rng_seed"):
         parse_config('{"scenario": "echo", "rng_seed": -3}')

@@ -14,7 +14,6 @@ import scipy.constants
 from hypothesis import given, settings, strategies as st
 from scipy.constants import k as KB
 
-import muxmem
 from muxmem import cavity, ensemble
 from muxmem.ensemble import (
     ATOM_MASS,
@@ -36,6 +35,8 @@ from muxmem.ensemble import (
     _phase_coefficients,
 )
 from muxmem.cavity import PulseSpec
+
+from conftest import child_env
 
 SIGMA_Z = 1e-3
 
@@ -464,9 +465,7 @@ print(len(os.sched_getaffinity(0)), pinned_echo_digest())
 def test_echo_profile_same_bits_on_one_cpu():
     # The echo kernel's matrix products run in numpy's BLAS, which threads
     # them over the CPUs it finds; the bits must not depend on that.
-    src = str(Path(muxmem.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = child_env()
     for mode, extra, cpus in (("pin", {}, "1"),
                               ("free", {"OPENBLAS_NUM_THREADS": "1"},
                                str(len(os.sched_getaffinity(0))))):

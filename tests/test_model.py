@@ -6,6 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from muxmem.cavity import PulseSpec
+from muxmem.ensemble import FieldTimeline, echo_profiles, sample_ensemble
 from muxmem.model import (
     UNBOUNDED,
     MemoryParams,
@@ -19,6 +21,10 @@ from muxmem.model import (
     retrieval_given_write,
     write_prob,
 )
+from muxmem.protocol import build_schedule, coincidence_scaling, run_trials
+from muxmem.repeater import LinkParams
+
+from conftest import reversal_schedule
 
 # Ten-mode working point used throughout.
 BASE = MemoryParams(p=0.045, eta_w=0.3, eta_r=0.25, p_int0=0.4,
@@ -256,3 +262,52 @@ def test_param_validation(kwargs):
     fields.update(kwargs)
     with pytest.raises(ValueError):
         MemoryParams(**fields)
+
+
+def test_g2_vs_storage_rejects_negative_time():
+    # The check is p_int's, reached through cross_correlation.
+    with pytest.raises(ValueError, match="^storage_time must be >= 0$"):
+        g2_vs_storage(BASE, [0.0, -1e-9])
+
+
+@pytest.mark.parametrize("params, n, below, expected", [
+    # Threshold = g2 at N = 10, so 10 modes fail: the bound computes
+    # 10.000000000000005 and n -= 1 brings it down to 9.
+    (BASE, 10, False, 9),
+    # Threshold one ulp below g2 at N = 58: the bound computes
+    # 57.99999999999998 and n += 1 brings it up to 58.
+    (replace(BASE, p=0.3, p_int0=1.0, beta_ratio=81.0, xi_eg=0.3), 58, True, 58),
+], ids=["downward", "upward"])
+def test_max_modes_rounding_corrections(params, n, below, expected):
+    g2 = cross_correlation(replace(params, n_modes=n))
+    threshold = math.nextafter(g2, 0.0) if below else g2
+    assert max_modes(params, threshold) == expected
+
+
+def _echo_with_nodes(nodes):
+    ens = sample_ensemble(50, 1e-3, 40e-6, seed=1)
+    return echo_profiles(ens, FieldTimeline.reversal(2.0, 2e-6), 0.0, [PulseSpec(266e-9)],
+                         0.4, [4e-6], nodes=nodes)
+
+
+# Every count the library takes, as (call with the count, argument name).
+COUNT_TAKERS = {
+    "MemoryParams": (lambda n: replace(BASE, n_modes=n), "n_modes"),
+    "LinkParams": (lambda n: LinkParams(100e3, n_modes=n), "n_modes"),
+    "sample_ensemble": (lambda n: sample_ensemble(n, 1e-3, 40e-6, seed=1), "n_atoms"),
+    "echo_profiles": (_echo_with_nodes, "nodes"),
+    "build_schedule": (lambda n: build_schedule(n, 800e-9, 266e-9,
+                                                FieldTimeline.reversal(2.0, 3e-6)), "n_modes"),
+    "coincidence_scaling": (lambda n: coincidence_scaling(
+        BASE, [n], 800e-9, 266e-9, 2.0, 0.0, n_trials=100, seed=1), "n_modes_values"),
+    "run_trials": (lambda n: run_trials(FIVE, reversal_schedule(5), n, seed=1), "n_trials"),
+}
+
+
+@pytest.mark.parametrize("bad", [2.5, 3.0, True, "3"])
+@pytest.mark.parametrize("taker", sorted(COUNT_TAKERS))
+def test_counts_must_be_integers(taker, bad):
+    call, name = COUNT_TAKERS[taker]
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {bad!r}$"):
+        call(bad)
+    call(np.int64(3))  # a numpy integer is a count

@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-import muxmem
 from muxmem import protocol
 from muxmem.ensemble import FieldTimeline, collective_efficiency, sample_ensemble
 from muxmem.model import MemoryParams, cross_correlation, retrieval_given_write, write_prob
@@ -38,14 +37,10 @@ from muxmem.protocol import (
     _draw_below,
 )
 
+from conftest import child_env, reversal_schedule
+
 FIVE = MemoryParams(p=0.05, eta_w=0.3, eta_r=0.25, p_int0=0.4,
                     beta_ratio=14.0, xi_eg=1.0, n_modes=5, tau_mem=1.0)
-
-
-def quick_schedule(n_modes, spacing=800e-9, write_duration=266e-9):
-    t_last = (n_modes - 1) * spacing + write_duration
-    timeline = FieldTimeline.reversal(2.0, t_last)
-    return build_schedule(n_modes, spacing, write_duration, timeline)
 
 
 def test_build_schedule_single_mode():
@@ -58,7 +53,7 @@ def test_build_schedule_single_mode():
 
 def test_build_schedule_readout_order_reversed():
     # Last written rephases first: readout times decrease with write index.
-    schedule = quick_schedule(6)
+    schedule = reversal_schedule(6)
     assert all(a < b for a, b in zip(schedule.write_times, schedule.write_times[1:]))
     assert all(a > b for a, b in zip(schedule.readout_times, schedule.readout_times[1:]))
     for t_w, t_r in zip(schedule.write_times, schedule.readout_times):
@@ -100,7 +95,7 @@ def test_schedule_compares_modes_elementwise():
 def test_array_holders_compare_by_identity():
     # A field-wise == would compare arrays and raise; these compare and hash
     # by identity, so two equal multi-mode schedules are distinct objects.
-    a, b = quick_schedule(2), quick_schedule(2)
+    a, b = reversal_schedule(2), reversal_schedule(2)
     np.testing.assert_array_equal(a.readout_times, b.readout_times)
     assert a == a and a != b
     assert len({a, b, a}) == 2
@@ -114,7 +109,7 @@ def test_array_holders_compare_by_identity():
 
 def test_run_trials_zero_excitation():
     mem = replace(FIVE, p=0.0)
-    tally = run_trials(mem, quick_schedule(5), 5000, seed=1)
+    tally = run_trials(mem, reversal_schedule(5), 5000, seed=1)
     assert tally.n_trials == 5000
     assert tally.write_counts.sum() == 0
     assert tally.coincidence_counts.sum() == 0
@@ -124,7 +119,7 @@ def test_run_trials_zero_excitation():
 
 
 def test_fixed_mode_estimates_match_model():
-    tally = run_trials(FIVE, quick_schedule(5), 400000, seed=42, readout=2)
+    tally = run_trials(FIVE, reversal_schedule(5), 400000, seed=42, readout=2)
     stats = estimate_statistics(tally)
     g2 = stats.g2_cell(2, 2)
     assert abs(g2.value - 11.431372549019606) < 3 * g2.stderr
@@ -137,13 +132,13 @@ def test_fixed_mode_estimates_match_model():
 
 def test_fixed_mode_estimates_match_model_no_suppression():
     mem = replace(FIVE, beta_ratio=1.0)
-    tally = run_trials(mem, quick_schedule(5), 400000, seed=43, readout=2)
+    tally = run_trials(mem, reversal_schedule(5), 400000, seed=43, readout=2)
     g2 = estimate_statistics(tally).g2_cell(2, 2)
     assert abs(g2.value - 2.52) < 3 * g2.stderr
 
 
 def test_feed_forward_diagonal_matches_model():
-    tally = run_trials(FIVE, quick_schedule(5), 400000, seed=44, readout=FEED_FORWARD)
+    tally = run_trials(FIVE, reversal_schedule(5), 400000, seed=44, readout=FEED_FORWARD)
     stats = estimate_statistics(tally)
     model = cross_correlation(FIVE)
     for j in range(5):
@@ -155,7 +150,7 @@ def test_feed_forward_diagonal_matches_model():
 def test_feed_forward_diagonal_dominates():
     # Matched write-read pairs are strongly correlated; mismatched pairs
     # (collected through the fixed passes) sit near the uncorrelated level.
-    tally = run_trials(FIVE, quick_schedule(5), 400000, seed=2, readout=FEED_FORWARD)
+    tally = run_trials(FIVE, reversal_schedule(5), 400000, seed=2, readout=FEED_FORWARD)
     stats = estimate_statistics(tally)
     diag = np.diag(stats.g2)
     off = stats.g2[~np.eye(5, dtype=bool)]
@@ -166,18 +161,18 @@ def test_feed_forward_diagonal_dominates():
 
 def test_read_accounting_per_policy():
     # Unconditional-pass and feed-forward reads partition the trials.
-    tally = run_trials(FIVE, quick_schedule(5), 12288, seed=3, readout=FEED_FORWARD)
+    tally = run_trials(FIVE, reversal_schedule(5), 12288, seed=3, readout=FEED_FORWARD)
     assert tally.n_uncond_reads.sum() == 12288 // 2
     assert tally.n_reads.sum() <= 12288
     assert tally.n_reads.sum() >= 12288 // 2
     for readout in (CYCLE, 1):
-        tally = run_trials(FIVE, quick_schedule(5), 12288, seed=3, readout=readout)
+        tally = run_trials(FIVE, reversal_schedule(5), 12288, seed=3, readout=readout)
         assert tally.n_reads.sum() == 12288
         assert tally.n_uncond_reads.sum() == 12288
 
 
 def test_tally_conservation():
-    tally = run_trials(FIVE, quick_schedule(5), 100000, seed=4, readout=FEED_FORWARD)
+    tally = run_trials(FIVE, reversal_schedule(5), 100000, seed=4, readout=FEED_FORWARD)
     assert np.all(tally.read_counts <= tally.herald_reads)
     assert np.all(tally.herald_reads <= tally.write_counts[:, None])
     assert np.all(tally.herald_reads <= tally.n_reads[None, :])
@@ -189,10 +184,10 @@ def test_tally_conservation():
 
 
 def test_same_seed_same_tally_different_seed_consistent():
-    t1 = run_trials(FIVE, quick_schedule(5), 200000, seed=11, readout=1)
-    t2 = run_trials(FIVE, quick_schedule(5), 200000, seed=11, readout=1)
+    t1 = run_trials(FIVE, reversal_schedule(5), 200000, seed=11, readout=1)
+    t2 = run_trials(FIVE, reversal_schedule(5), 200000, seed=11, readout=1)
     np.testing.assert_array_equal(t1.coincidence_counts, t2.coincidence_counts)
-    t3 = run_trials(FIVE, quick_schedule(5), 200000, seed=12, readout=1)
+    t3 = run_trials(FIVE, reversal_schedule(5), 200000, seed=12, readout=1)
     assert not np.array_equal(t1.coincidence_counts, t3.coincidence_counts)
     a = estimate_statistics(t1).g2_cell(1, 1)
     b = estimate_statistics(t3).g2_cell(1, 1)
@@ -254,7 +249,7 @@ def test_pairs_without_unconditional_photons_are_nan():
 def test_autocorrelation_noise_free_is_zero():
     # Single retrieved photons never coincide across the splitter.
     mem = replace(FIVE, xi_eg=0.0)
-    tally = run_trials(mem, quick_schedule(5), 200000, seed=21)
+    tally = run_trials(mem, reversal_schedule(5), 200000, seed=21)
     est = heralded_autocorrelation(tally)
     assert est.value == 0.0
     assert est.stderr > 0.0
@@ -265,7 +260,7 @@ def test_autocorrelation_noise_only_is_thermal():
     # Mean photon number kept small so click thresholding stays unbiased.
     mem = MemoryParams(p=0.5, eta_w=1.0, eta_r=0.04, p_int0=0.0,
                        beta_ratio=1.0, xi_eg=1.0, n_modes=1, tau_mem=1.0)
-    tally = run_trials(mem, quick_schedule(1), 2000000, seed=22)
+    tally = run_trials(mem, reversal_schedule(1), 2000000, seed=22)
     est = heralded_autocorrelation(tally)
     assert est.stderr < 0.3
     assert abs(est.value - 2.0) < 3 * est.stderr
@@ -294,7 +289,7 @@ def test_autocorrelation_mode_out_of_range(mode):
 
 def test_crosstalk_matrix_structure():
     mem = replace(FIVE, n_modes=3)
-    g2, g2_err = crosstalk_matrix(mem, quick_schedule(3), 150000, seed=31)
+    g2, g2_err = crosstalk_matrix(mem, reversal_schedule(3), 150000, seed=31)
     assert g2.shape == (3, 3)
     diag = np.diag(g2)
     off = g2[~np.eye(3, dtype=bool)]
@@ -306,7 +301,7 @@ def test_crosstalk_matrix_structure():
 
 def test_crosstalk_single_mode_equals_g2():
     mem = replace(FIVE, n_modes=1)
-    g2, g2_err = crosstalk_matrix(mem, quick_schedule(1), 200000, seed=32)
+    g2, g2_err = crosstalk_matrix(mem, reversal_schedule(1), 200000, seed=32)
     assert g2.shape == (1, 1)
     assert abs(g2[0, 0] - cross_correlation(mem)) < 3 * g2_err[0, 0]
 
@@ -336,7 +331,7 @@ def test_run_train_is_a_cycled_run_with_echo_deficits():
     # Readouts programmed from the drift-free reversal, applied field drifting:
     # the deficits span 0.2 to 1, so a wrong or missing scale shows.
     m = 4
-    schedule = quick_schedule(m)
+    schedule = reversal_schedule(m)
     applied = FieldTimeline.reversal(2.0, 3 * 800e-9 + 266e-9, drift_rate=1e5)
     ens = sample_ensemble(2000, 1e-3, 0.0, seed=9)
     p_w_total, p_wr_total, stats = run_train(FIVE, schedule, applied, 20000, 5, ens)
@@ -359,7 +354,7 @@ def test_drifting_train_without_ensemble_raises():
     applied = FieldTimeline.reversal(2.0, 800e-9 + 266e-9, drift_rate=2e4)
     with mock.patch.object(protocol, "run_trials") as engine:
         with pytest.raises(ValueError, match="ensemble"):
-            run_train(FIVE, quick_schedule(2), applied, 1000, 1)
+            run_train(FIVE, reversal_schedule(2), applied, 1000, 1)
         with pytest.raises(ValueError, match="ensemble"):
             coincidence_scaling(FIVE, [1, 2], 800e-9, 266e-9, gradient=2.0,
                                 drift_rate=2e4, n_trials=1000, seed=1)
@@ -368,17 +363,17 @@ def test_drifting_train_without_ensemble_raises():
 
 def test_run_trials_validation():
     with pytest.raises(ValueError):
-        run_trials(FIVE, quick_schedule(4), 1000, seed=1)  # mode count mismatch
+        run_trials(FIVE, reversal_schedule(4), 1000, seed=1)  # mode count mismatch
     with pytest.raises(ValueError):
-        run_trials(FIVE, quick_schedule(5), 1000, seed=1,
+        run_trials(FIVE, reversal_schedule(5), 1000, seed=1,
                    retrieval_scale=np.array([0.5, 0.5]))
     with pytest.raises(ValueError):
-        run_trials(FIVE, quick_schedule(5), 1000, seed=1,
+        run_trials(FIVE, reversal_schedule(5), 1000, seed=1,
                    retrieval_scale=np.full(5, 1.5))
     with pytest.raises(ValueError):
-        run_trials(FIVE, quick_schedule(5), 1000, seed=1, readout="sometimes")
+        run_trials(FIVE, reversal_schedule(5), 1000, seed=1, readout="sometimes")
     with pytest.raises(ValueError):
-        run_trials(FIVE, quick_schedule(5), 1000, seed=1, readout=7)
+        run_trials(FIVE, reversal_schedule(5), 1000, seed=1, readout=7)
 
 
 @pytest.mark.parametrize("name, bad", [("readout", 2.7), ("readout", True),
@@ -388,11 +383,25 @@ def test_run_trials_rejects_non_integers(name, bad):
     # A float mode would read its floor, and True or "1" mode 1, without this.
     args = {"n_trials": 1000, "seed": 1, "readout": 0, name: bad}
     with pytest.raises(ValueError, match=f"^{name} must be an integer"):
-        run_trials(FIVE, quick_schedule(5), **args)
+        run_trials(FIVE, reversal_schedule(5), **args)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: run_trials(replace(FIVE, n_modes=3), reversal_schedule(2), 1000, seed=1),
+     "schedule has 2 modes but params expect 3"),
+    (lambda: run_trials(FIVE, reversal_schedule(5), 0, seed=1), "n_trials must be >= 1"),
+    (lambda: build_schedule(1, 800e-9, 266e-9,
+                            FieldTimeline(((0.0, 2.0), (1e-6, -2.0), (5e-6, 2.0)))),
+     "schedule is inconsistent: a readout falls before the final gradient step"),
+], ids=["mode-mismatch", "no-trials", "readout-before-final-step"])
+def test_engine_rejects_inconsistent_input(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 def test_run_trials_takes_numpy_integers():
-    schedule = quick_schedule(5)
+    schedule = reversal_schedule(5)
     assert_tallies_equal(
         run_trials(FIVE, schedule, np.int64(1000), seed=1, readout=np.int64(2)),
         run_trials(FIVE, schedule, 1000, seed=1, readout=2))
@@ -405,13 +414,13 @@ def test_retrieval_scale_rejects_non_finite(bad):
         scale = np.ones(5)
         scale[mode] = bad
         with pytest.raises(ValueError, match="retrieval_scale"):
-            run_trials(FIVE, quick_schedule(5), 1000, seed=1, retrieval_scale=scale)
+            run_trials(FIVE, reversal_schedule(5), 1000, seed=1, retrieval_scale=scale)
 
 
 def test_retrieval_scale_reduces_signal():
-    scaled = run_trials(FIVE, quick_schedule(5), 200000, seed=51,
+    scaled = run_trials(FIVE, reversal_schedule(5), 200000, seed=51,
                         readout=2, retrieval_scale=np.full(5, 0.25))
-    plain = run_trials(FIVE, quick_schedule(5), 200000, seed=51, readout=2)
+    plain = run_trials(FIVE, reversal_schedule(5), 200000, seed=51, readout=2)
     s = estimate_statistics(scaled)
     p = estimate_statistics(plain)
     assert s.g2[2, 2] < p.g2[2, 2]
@@ -459,7 +468,7 @@ def test_tally_digests_pinned(case):
     mem = replace(PINNED, n_modes=m, xi_eg=0.0 if variant == "dark" else 1.0)
     scale = np.linspace(0.3, 0.9, m) if variant == "scaled" else None
     readout = {"ff": FEED_FORWARD, "cycle": CYCLE, "last": m - 1}[readout]
-    tally = run_trials(mem, quick_schedule(m), 10_000, seed=2020,
+    tally = run_trials(mem, reversal_schedule(m), 10_000, seed=2020,
                        readout=readout, retrieval_scale=scale)
     names = [f.name for f in dataclasses.fields(CountsTally)]
     got = dict(zip(names, tally_field_digests(tally).split()))
@@ -524,7 +533,7 @@ def test_autocorrelation_nan_exactly_without_counts(tally, data):
 def test_tally_conservation_random(m, n_trials, seed, readout, data):
     if readout == "fixed":
         readout = data.draw(st.integers(0, m - 1))
-    tally = run_trials(replace(PINNED, n_modes=m), quick_schedule(m), n_trials,
+    tally = run_trials(replace(PINNED, n_modes=m), reversal_schedule(m), n_trials,
                        seed, readout=readout)
     assert tally.n_trials == n_trials
     assert np.all(tally.read_counts <= tally.herald_reads)
@@ -547,7 +556,7 @@ def test_herald_reads_may_exceed_reads_summed_over_heralds():
     # One feed-forward trial with write clicks in modes 1 and 3 reads mode 1:
     # both herald_reads[1, 1] and herald_reads[3, 1] count it, so a column of
     # herald_reads can sum past n_reads while every cell stays within it.
-    tally = run_trials(replace(PINNED, n_modes=4), quick_schedule(4), 1, 2149888,
+    tally = run_trials(replace(PINNED, n_modes=4), reversal_schedule(4), 1, 2149888,
                        readout=FEED_FORWARD)
     np.testing.assert_array_equal(tally.n_reads, [0, 1, 0, 0])
     np.testing.assert_array_equal(tally.herald_reads[:, 1], [0, 1, 0, 1])
@@ -650,7 +659,7 @@ def test_vectorized_tally_equals_loop_reference(m, n_trials, seed, readout, xi_e
         readout = data.draw(st.integers(0, m - 1))
     mem = replace(PINNED, n_modes=m, xi_eg=xi_eg)
     scale = np.linspace(0.2, 1.0, m) if scaled else None
-    schedule = quick_schedule(m)
+    schedule = reversal_schedule(m)
     assert_tallies_equal(
         run_trials(mem, schedule, n_trials, seed, readout=readout, retrieval_scale=scale),
         loop_run_trials(mem, schedule, n_trials, seed, readout, retrieval_scale=scale))
@@ -667,7 +676,7 @@ def test_multi_block_tally_equals_loop_reference(m, readout, variant):
     readout = m - 1 if readout == "last" else readout
     mem = replace(PINNED, n_modes=m, xi_eg=0.0 if variant == "dark" else 1.0)
     scale = np.linspace(0.3, 0.9, m) if variant == "scaled" else None
-    schedule = quick_schedule(m)
+    schedule = reversal_schedule(m)
     got = run_trials(mem, schedule, n_trials, 2021, readout=readout, retrieval_scale=scale)
     assert_tallies_equal(
         got, loop_run_trials(mem, schedule, n_trials, 2021, readout, retrieval_scale=scale))
@@ -689,7 +698,7 @@ def test_tally_same_bits_on_any_cpu_count(cpus, n_trials):
     # worker, with a worker short of a full round of blocks, and with more
     # CPUs than blocks on any machine.
     mem = replace(PINNED, n_modes=9)
-    schedule = quick_schedule(9)
+    schedule = reversal_schedule(9)
     with mock.patch.object(protocol, "_usable_cpus", lambda: cpus):
         got = run_trials(mem, schedule, n_trials, seed=77)
     assert_tallies_equal(got, loop_run_trials(mem, schedule, n_trials, 77, FEED_FORWARD))
@@ -698,7 +707,7 @@ def test_tally_same_bits_on_any_cpu_count(cpus, n_trials):
 def pool_digests():
     """Per-field tally digests over ``POOL_TRIALS`` at nine modes."""
     mem = replace(PINNED, n_modes=9)
-    return [tally_field_digests(run_trials(mem, quick_schedule(9), n, seed=77))
+    return [tally_field_digests(run_trials(mem, reversal_schedule(9), n, seed=77))
             for n in POOL_TRIALS]
 
 
@@ -717,11 +726,8 @@ print("\\n".join(pool_digests()))
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
                     reason="os.sched_setaffinity is not available")
 def test_tally_same_bits_on_one_cpu():
-    src = str(Path(muxmem.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", ONE_CPU_CHILD, str(Path(__file__).parent)],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["1", *pool_digests()]
 
@@ -740,7 +746,7 @@ def test_chunked_draws_equal_loop_reference(m, n_trials, seed, readout, cpus, da
     if readout == "fixed":
         readout = data.draw(st.integers(0, m - 1))
     mem = replace(PINNED, n_modes=m)
-    schedule = quick_schedule(m)
+    schedule = reversal_schedule(m)
     with mock.patch.object(protocol, "_usable_cpus", lambda: cpus):
         got = run_trials(mem, schedule, n_trials, seed, readout=readout)
     assert_tallies_equal(got, loop_run_trials(mem, schedule, n_trials, seed, readout))

@@ -2,17 +2,17 @@
 
 import hashlib
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-import muxmem
 from muxmem.cli import main
 from muxmem.config import SCENARIOS, parse_config
 from muxmem.scenarios import ScenarioResult, emit_csv, run_scenario
+
+from conftest import child_env
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -238,14 +238,6 @@ def test_cli_unwritable_out_exit_4(tmp_path):
 def test_cli_defaults_without_config(tmp_path):
     assert main(["repeater-rate", "--out", str(tmp_path)]) == 0
     assert (tmp_path / "repeater-rate.csv").exists()
-
-
-def child_env():
-    """Environment in which a child process imports the package under test,
-    however pytest found it."""
-    src = str(Path(muxmem.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return {**os.environ, "PYTHONPATH": path}
 
 
 def test_console_script(tmp_path):
