@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -282,15 +283,28 @@ def test_engine_runs_without_scipy(tmp_path):
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 
-@pytest.mark.parametrize("demo", ["cavity_design.py", "gradient_echo.py",
-                                  "photon_statistics_tour.py", "protocol_monte_carlo.py",
-                                  "repeater_budget.py"])
+# SHA-256 of each demo's stdout without its optional "wrote <name>.png" line.
+DEMO_DIGESTS = {
+    "cavity_design.py": "5ce59dc9a632faeff079e0be29d12c711e4ab3117ba79ab274cda8b9e0256d76",
+    "gradient_echo.py": "0029b5fb17e90c7a6532a7e56969fcd84b8cd682d01e2a4c91402632589e8ad8",
+    "photon_statistics_tour.py": "b97b0a4b097b128ea73b3e1cede68cf01aecaa2914a3e28618f868d736bec0e4",
+    "protocol_monte_carlo.py": "d85a63c285d1686c018f84d9fefa42c6828576230323f43ee628f167e8321f34",
+    "repeater_budget.py": "8d2542ebe430289af26822de8f9c8b500a5719733c02fc654fe9fd43e53a44f0",
+}
+
+
+@pytest.mark.parametrize("demo", sorted(DEMO_DIGESTS))
 def test_demo_runs(demo, tmp_path):
-    """Each demo runs to completion and prints its tables."""
+    """Each demo runs to completion and prints the same bytes as recorded.
+
+    The "wrote <name>.png" line appears only when matplotlib is installed,
+    so it is left out of the digest.
+    """
     proc = subprocess.run([sys.executable, str(DEMOS / demo)], cwd=tmp_path,
-                          capture_output=True, text=True, env=child_env())
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip()
+                          capture_output=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr.decode()
+    stdout = re.sub(rb"\nwrote \S+\.png\n", b"", proc.stdout)
+    assert hashlib.sha256(stdout).hexdigest() == DEMO_DIGESTS[demo]
 
 
 # Drifting and freeze/release trains through the CLI, which no golden config
