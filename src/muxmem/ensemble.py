@@ -91,7 +91,7 @@ def sample_ensemble(
         raise ValueError("n_atoms must be >= 1")
     if cloud_sigma < 0.0 or temperature < 0.0:
         raise ValueError("cloud_sigma and temperature must be >= 0")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer("seed", seed))
     z = rng.normal(0.0, cloud_sigma, size=n_atoms) if cloud_sigma > 0 else np.zeros(n_atoms)
     sigma_v = math.sqrt(_KB * temperature / ATOM_MASS)
     v = rng.normal(0.0, sigma_v, size=n_atoms) if sigma_v > 0 else np.zeros(n_atoms)
@@ -177,10 +177,9 @@ def _phase_coefficients(timeline: FieldTimeline, write_time: float, times: np.nd
 
 
 def collective_efficiency(
-    ens: AtomEnsemble, timeline: FieldTimeline, write_time: float,
-    time: float, p_int0: float = 1.0,
+    ens: AtomEnsemble, timeline: FieldTimeline, write_time: float, time: float,
 ) -> float:
-    """Retrieval efficiency p_int0 * |mean_j exp(i phi_j)|^2 at ``time``.
+    """Echo contrast |mean_j exp(i phi_j)|^2 at ``time``: retrieval efficiency / p_int0.
 
         phi_j = k_sw v_j (t - t_w)
               + 2 pi zc [bias (t - t_w) + integral A(t')(1 + d t') z_j(t') dt']
@@ -188,7 +187,7 @@ def collective_efficiency(
     with the atom coasting from its write-time position,
     z_j(t') = z_j + v_j (t' - t_w).  The spatially uniform bias only adds a
     global phase and drops out.  Evaluated directly, with the bits of
-    ``p_int0 * np.abs(np.exp(1j * phi).mean(axis=0)) ** 2`` on a one-time
+    ``np.abs(np.exp(1j * phi).mean(axis=0)) ** 2`` on a one-time
     grid (a scalar ``** 2`` can round differently from the array square).
     """
     if time < write_time:
@@ -197,7 +196,7 @@ def collective_efficiency(
     zc = ens.zeeman_coeff
     b = ens.k_sw * (time - write_time) + zc * q[0]
     phi = ens.positions * (zc * a[0]) + ens.velocities * b
-    return float((p_int0 * np.abs(np.exp(1j * phi).mean(keepdims=True)) ** 2)[0])
+    return float((np.abs(np.exp(1j * phi).mean(keepdims=True)) ** 2)[0])
 
 
 #: Largest phase error (rad) per atom, readout time and creation time that

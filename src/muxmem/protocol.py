@@ -162,7 +162,7 @@ class Estimate:
 
 
 def _block_rng(seed: int, block_index: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(block_index,))
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(block_index,))
     return np.random.Generator(np.random.Philox(ss))
 
 
@@ -198,10 +198,10 @@ def run_trials(
     mode index for fixed-mode readout of every trial.  ``retrieval_scale``
     optionally multiplies the decayed intrinsic retrieval per mode (external
     rephasing deficits); the background mean is ``model.noise_given_write``.
-    Deterministic for fixed (seed, n_trials): the blocks run concurrently,
-    one thread per usable CPU, but each block has its own Philox stream and
-    the per-worker tallies are summed as integers, so the bits do not depend
-    on the CPU count.
+    ``seed`` is an integer under the rule for counts.  Deterministic for fixed
+    (seed, n_trials): the blocks run concurrently, one thread per usable CPU,
+    but each block has its own Philox stream and the per-worker tallies are
+    summed as integers, so the bits do not depend on the CPU count.
     """
     m = mem.n_modes
     if schedule.n_modes != m:
@@ -211,6 +211,7 @@ def run_trials(
     n_trials = _integer("n_trials", n_trials)
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
+    seed = _integer("seed", seed)
     fixed = readout not in (FEED_FORWARD, CYCLE)
     if fixed:
         readout = _integer("readout", readout)
@@ -414,24 +415,19 @@ def estimate_statistics(tally: CountsTally) -> TallyStatistics:
     return TallyStatistics(p_w, p_w_err, p_r, p_wr, g2, g2_err)
 
 
-def heralded_autocorrelation(tally: CountsTally, mode=None) -> Estimate:
-    """Heralded read-field autocorrelation from the virtual splitter.
+def heralded_autocorrelation(tally: CountsTally) -> Estimate:
+    """Heralded read-field autocorrelation from the virtual splitter, pooled over all modes.
 
         g2_rr|w = (both-arm coincidences) * (heralded reads) / (A clicks * B clicks)
 
-    Pooled over all modes unless ``mode`` selects one.  A retrieved single
-    photon never fires both arms (exactly 0); pure thermal background tends
-    to 2.  Zero coincidences with nonzero singles give 0 with a one-sided
-    single-count error; zero singles are undefined (NaN).  A mode outside
-    [0, n_modes) is a ValueError.
+    A retrieved single photon never fires both arms (exactly 0); pure thermal
+    background tends to 2.  Zero coincidences with nonzero singles give 0 with
+    a one-sided single-count error; zero singles are undefined (NaN).
     """
-    if mode is not None and not 0 <= mode < tally.n_modes:
-        raise ValueError(f"mode {mode} out of range for {tally.n_modes} modes")
-    sl = slice(None) if mode is None else slice(mode, mode + 1)
-    c = int(tally.split_ab[sl].sum())
-    sa = int(tally.split_a[sl].sum())
-    sb = int(tally.split_b[sl].sum())
-    n = int(tally.n_heralded_splits[sl].sum())
+    c = int(tally.split_ab.sum())
+    sa = int(tally.split_a.sum())
+    sb = int(tally.split_b.sum())
+    n = int(tally.n_heralded_splits.sum())
     if sa == 0 or sb == 0 or n == 0:
         return Estimate(math.nan, math.nan)
     if c == 0:
@@ -442,7 +438,7 @@ def heralded_autocorrelation(tally: CountsTally, mode=None) -> Estimate:
 
 
 def _child_seed(seed: int, salt: int) -> int:
-    return int(np.random.SeedSequence(entropy=[int(seed), int(salt)]).generate_state(1)[0])
+    return int(np.random.SeedSequence(entropy=[_integer("seed", seed), salt]).generate_state(1)[0])
 
 
 def crosstalk_matrix(

@@ -5,7 +5,14 @@ from pathlib import Path
 
 import muxmem
 from muxmem.ensemble import FieldTimeline
+from muxmem.model import MemoryParams
 from muxmem.protocol import build_schedule
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# Ten-mode working point of the paper, used throughout.
+BASE = MemoryParams(p=0.045, eta_w=0.3, eta_r=0.25, p_int0=0.4,
+                    beta_ratio=14.0, xi_eg=1.0, n_modes=10)
 
 
 def reversal_schedule(n_modes, spacing=800e-9, write_duration=266e-9):

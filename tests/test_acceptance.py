@@ -9,7 +9,6 @@ import io
 import json
 import math
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,12 +50,7 @@ from muxmem.protocol import (
 )
 from muxmem.repeater import IMMEDIATE_REVERSAL, LinkParams, readout_latency, repetition_rate
 
-from conftest import reversal_schedule
-
-GOLDEN = Path(__file__).parent / "golden"
-
-PAPER_MEMORY = MemoryParams(p=0.045, eta_w=0.3, eta_r=0.25, p_int0=0.4,
-                            beta_ratio=14.0, xi_eg=1.0, n_modes=10)
+from conftest import BASE, GOLDEN, reversal_schedule
 
 
 def report(name, ok, detail):
@@ -92,7 +86,7 @@ def test_criterion_02_rate_gain_optima():
 
 
 def test_criterion_03_single_mode_cavity_gain():
-    single = replace(PAPER_MEMORY, n_modes=1)
+    single = replace(BASE, n_modes=1)
     gain = cavity_gain(single, replace(single, beta_ratio=1.0))
     ok = abs(gain - 2.26) <= 0.02
     report("03 single-mode gain", ok, f"gain={gain:.6f}, band 2.26 +/- 0.02")
@@ -114,9 +108,9 @@ def test_criterion_04_storage_decay_asymmetry():
 
 
 def test_criterion_05_mode_scaling():
-    g2 = [cross_correlation(replace(PAPER_MEMORY, n_modes=n)) for n in range(1, 61)]
+    g2 = [cross_correlation(replace(BASE, n_modes=n)) for n in range(1, 61)]
     monotone = all(a > b for a, b in zip(g2, g2[1:]))
-    n19 = max_modes(PAPER_MEMORY, 5.8)
+    n19 = max_modes(BASE, 5.8)
 
     def scan(params, threshold):
         best = 0
@@ -128,10 +122,10 @@ def test_criterion_05_mode_scaling():
         return best
 
     betas = np.arange(1.0, 82.0)
-    counts = np.array([max_modes(replace(PAPER_MEMORY, beta_ratio=b), 5.8)
+    counts = np.array([max_modes(replace(BASE, beta_ratio=b), 5.8)
                        for b in betas], dtype=float)
     scan_agree = all(
-        counts[i] == scan(replace(PAPER_MEMORY, beta_ratio=b), 5.8)
+        counts[i] == scan(replace(BASE, beta_ratio=b), 5.8)
         for i, b in enumerate(betas))
     r = np.corrcoef(betas, counts)[0, 1]
     ok = monotone and n19 == 19 and scan_agree and r * r >= 0.995
@@ -236,7 +230,7 @@ def test_criterion_07_rephasing_engine():
 
 
 def test_criterion_08_crosstalk_structure():
-    mem = replace(PAPER_MEMORY, n_modes=6, tau_mem=1.0)
+    mem = replace(BASE, n_modes=6, tau_mem=1.0)
     schedule = reversal_schedule(6)
     g2, _ = crosstalk_matrix(mem, schedule, 1000000, seed=61)
     diag = float(np.diag(g2).mean())
@@ -249,7 +243,7 @@ def test_criterion_08_crosstalk_structure():
 
 def test_criterion_09_heralded_autocorrelation():
     # Noise-free: retrieved single photons never split into both arms.
-    clean = replace(PAPER_MEMORY, xi_eg=0.0, n_modes=3, tau_mem=1.0)
+    clean = replace(BASE, xi_eg=0.0, n_modes=3, tau_mem=1.0)
     t_clean = run_trials(clean, reversal_schedule(3), 400000, seed=91)
     a_clean = heralded_autocorrelation(t_clean)
 
@@ -260,7 +254,7 @@ def test_criterion_09_heralded_autocorrelation():
     a_noise = heralded_autocorrelation(t_noise)
 
     # Ten-mode working point: single-photon character survives the noise.
-    t_mix = run_trials(replace(PAPER_MEMORY, tau_mem=1.0), reversal_schedule(10),
+    t_mix = run_trials(replace(BASE, tau_mem=1.0), reversal_schedule(10),
                        2000000, seed=93)
     a_mix = heralded_autocorrelation(t_mix)
 
@@ -287,7 +281,7 @@ def test_criterion_10_repeater_arithmetic():
 
 def test_criterion_11_coincidence_scaling():
     # Control: no noise channel, no decay -> totals linear in mode count.
-    control = replace(PAPER_MEMORY, xi_eg=0.0, tau_mem=1.0)
+    control = replace(BASE, xi_eg=0.0, tau_mem=1.0)
     n_trials = 400000
     rows = coincidence_scaling(control, list(range(1, 11)), 800e-9, 266e-9,
                                gradient=2.0, drift_rate=0.0,
@@ -300,7 +294,7 @@ def test_criterion_11_coincidence_scaling():
     linear = bool(np.all(np.abs(p_wr - expected) < 3 * np.hypot(err, exp_err)))
 
     # Drift plus lifetime decay: write totals stay linear, coincidences lag.
-    drifted = replace(PAPER_MEMORY, tau_mem=72e-6)
+    drifted = replace(BASE, tau_mem=72e-6)
     ens = sample_ensemble(4000, 1e-3, 0.0, seed=7)
     rows_d = coincidence_scaling(drifted, [1, 10], 800e-9, 266e-9,
                                  gradient=2.0, drift_rate=20000.0,

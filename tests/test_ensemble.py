@@ -111,7 +111,7 @@ def test_collective_efficiency_perfect_when_in_phase():
     # All atoms at the same position acquire the same phase, which is global.
     ens = AtomEnsemble(np.full(50, 0.002), np.zeros(50))
     timeline = FieldTimeline(((0.0, 2.0),), bias=0.3)
-    eff = collective_efficiency(ens, timeline, 0.0, 5e-6, p_int0=0.4)
+    eff = 0.4 * collective_efficiency(ens, timeline, 0.0, 5e-6)
     assert eff == pytest.approx(0.4, rel=1e-12)
 
 
@@ -169,7 +169,7 @@ def test_dephased_plateau_floor():
     n = 10000
     ens = sample_ensemble(n, SIGMA_Z, 0.0, seed=21)
     timeline = FieldTimeline(((0.0, 2.0),))
-    eff = collective_efficiency(ens, timeline, 0.0, 100e-6, p_int0=1.0)
+    eff = collective_efficiency(ens, timeline, 0.0, 100e-6)
     assert eff < 5.0 / n
 
 
@@ -711,7 +711,7 @@ def test_kernel_within_bound_of_direct(inputs):
     if len(times) == 1:
         # collective_efficiency is the direct evaluation, bit for bit
         late = [k for k, write_time in enumerate(write_times) if times[0] >= write_time]
-        single = np.array([collective_efficiency(ens, timeline, write_times[k], times[0], 0.37)
+        single = np.array([0.37 * collective_efficiency(ens, timeline, write_times[k], times[0])
                            for k in late])
         np.testing.assert_array_equal(single.view(np.int64), want[0, late].view(np.int64))
 

@@ -21,14 +21,17 @@ from muxmem.model import (
     retrieval_given_write,
     write_prob,
 )
-from muxmem.protocol import build_schedule, coincidence_scaling, run_trials
+from muxmem.protocol import (
+    build_schedule,
+    coincidence_scaling,
+    crosstalk_matrix,
+    run_train,
+    run_trials,
+)
 from muxmem.repeater import LinkParams
 
-from conftest import reversal_schedule
+from conftest import BASE, reversal_schedule
 
-# Ten-mode working point used throughout.
-BASE = MemoryParams(p=0.045, eta_w=0.3, eta_r=0.25, p_int0=0.4,
-                    beta_ratio=14.0, xi_eg=1.0, n_modes=10)
 # Five-mode point with a rounder excitation probability.
 FIVE = replace(BASE, p=0.05, n_modes=5)
 
@@ -290,7 +293,7 @@ def _echo_with_nodes(nodes):
                          0.4, [4e-6], nodes=nodes)
 
 
-# Every count the library takes, as (call with the count, argument name).
+# Every count and seed the library takes, as (call with it, argument name).
 COUNT_TAKERS = {
     "MemoryParams": (lambda n: replace(BASE, n_modes=n), "n_modes"),
     "LinkParams": (lambda n: LinkParams(100e3, n_modes=n), "n_modes"),
@@ -301,10 +304,18 @@ COUNT_TAKERS = {
     "coincidence_scaling": (lambda n: coincidence_scaling(
         BASE, [n], 800e-9, 266e-9, 2.0, 0.0, n_trials=100, seed=1), "n_modes_values"),
     "run_trials": (lambda n: run_trials(FIVE, reversal_schedule(5), n, seed=1), "n_trials"),
+    "seed:run_trials": (lambda s: run_trials(FIVE, reversal_schedule(5), 100, s), "seed"),
+    "seed:crosstalk_matrix": (lambda s: crosstalk_matrix(
+        replace(FIVE, n_modes=2), reversal_schedule(2), 100, s), "seed"),
+    "seed:run_train": (lambda s: run_train(
+        FIVE, reversal_schedule(5), FieldTimeline.reversal(2.0, 3.466e-6), 100, s), "seed"),
+    "seed:coincidence_scaling": (lambda s: coincidence_scaling(
+        BASE, [2], 800e-9, 266e-9, 2.0, 0.0, n_trials=100, seed=s), "seed"),
+    "seed:sample_ensemble": (lambda s: sample_ensemble(50, 1e-3, 40e-6, seed=s), "seed"),
 }
 
 
-@pytest.mark.parametrize("bad", [2.5, 3.0, True, "3"])
+@pytest.mark.parametrize("bad", [2.5, 3.0, True, "3", None])
 @pytest.mark.parametrize("taker", sorted(COUNT_TAKERS))
 def test_counts_must_be_integers(taker, bad):
     call, name = COUNT_TAKERS[taker]

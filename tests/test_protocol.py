@@ -273,20 +273,6 @@ def test_autocorrelation_no_data_is_nan():
     assert math.isnan(est.value)
 
 
-@pytest.mark.parametrize("mode", [-1, 2])
-def test_autocorrelation_mode_out_of_range(mode):
-    # Both modes have counts, so an empty slice would not be "no data".
-    tally = CountsTally.zeros(2)
-    tally.n_trials = 100
-    tally.n_heralded_splits[:] = 20
-    tally.split_a[:] = 5
-    tally.split_b[:] = 4
-    tally.split_ab[:] = 1
-    assert not math.isnan(heralded_autocorrelation(tally, 1).value)
-    with pytest.raises(ValueError, match=f"mode {mode} out of range"):
-        heralded_autocorrelation(tally, mode)
-
-
 def test_crosstalk_matrix_structure():
     mem = replace(FIVE, n_modes=3)
     g2, g2_err = crosstalk_matrix(mem, reversal_schedule(3), 150000, seed=31)
@@ -336,7 +322,7 @@ def test_run_train_is_a_cycled_run_with_echo_deficits():
     ens = sample_ensemble(2000, 1e-3, 0.0, seed=9)
     p_w_total, p_wr_total, stats = run_train(FIVE, schedule, applied, 20000, 5, ens)
 
-    scale = np.clip([collective_efficiency(ens, applied, tw, tr, 1.0)
+    scale = np.clip([collective_efficiency(ens, applied, tw, tr)
                      for tw, tr in zip(schedule.write_times, schedule.readout_times)],
                     0.0, 1.0)
     assert scale.min() < 0.5
@@ -405,6 +391,12 @@ def test_run_trials_takes_numpy_integers():
     assert_tallies_equal(
         run_trials(FIVE, schedule, np.int64(1000), seed=1, readout=np.int64(2)),
         run_trials(FIVE, schedule, 1000, seed=1, readout=2))
+
+
+def test_run_trials_takes_numpy_integer_seed():
+    schedule = reversal_schedule(5)
+    assert_tallies_equal(run_trials(FIVE, schedule, 1000, seed=np.int64(7)),
+                         run_trials(FIVE, schedule, 1000, seed=7))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -516,13 +508,11 @@ def test_zero_pair_cells_one_sided(tally):
 
 
 @settings(max_examples=200, deadline=None)
-@given(small_tallies, st.data())
-def test_autocorrelation_nan_exactly_without_counts(tally, data):
-    mode = data.draw(st.one_of(st.none(), st.integers(0, tally.n_modes - 1)))
-    sl = slice(None) if mode is None else slice(mode, mode + 1)
-    empty = min(tally.split_a[sl].sum(), tally.split_b[sl].sum(),
-                tally.n_heralded_splits[sl].sum()) == 0
-    est = heralded_autocorrelation(tally, mode)
+@given(small_tallies)
+def test_autocorrelation_nan_exactly_without_counts(tally):
+    empty = min(tally.split_a.sum(), tally.split_b.sum(),
+                tally.n_heralded_splits.sum()) == 0
+    est = heralded_autocorrelation(tally)
     assert math.isnan(est.value) == empty
     assert math.isnan(est.stderr) == empty
 

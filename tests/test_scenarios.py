@@ -13,9 +13,7 @@ from muxmem.cli import main
 from muxmem.config import SCENARIOS, parse_config
 from muxmem.scenarios import ScenarioResult, emit_csv, run_scenario
 
-from conftest import child_env
-
-GOLDEN = Path(__file__).parent / "golden"
+from conftest import GOLDEN, child_env
 
 EXPECTED_COLUMNS = {
     "mode-sweep": ("n_modes", "beta_ratio", "g2"),
