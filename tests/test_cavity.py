@@ -44,6 +44,8 @@ def test_enhancement_factor():
     assert enhancement_factor(CAV) == pytest.approx(14.950151408268084, rel=1e-12)
     assert enhancement_from_finesse(22.2) == pytest.approx(14.132958946560306, rel=1e-12)
     assert enhancement_from_finesse(math.pi / 2) == pytest.approx(1.0)
+    with pytest.raises(ValueError, match="^finesse must be positive$"):
+        enhancement_from_finesse(0.0)
 
 
 def test_rate_gain_frozen():
@@ -59,6 +61,11 @@ def test_optimal_outcoupler_frozen():
     t_opt, gain = optimal_outcoupler(0.01)
     assert t_opt == pytest.approx(0.00995005805, abs=2e-6)
     assert gain == pytest.approx(99.49937184235505, rel=1e-9)
+    # A loss outside (0, 1) fails with CavityParams' own message.
+    for loss in (0.0, 1.0, -0.5, 1.5, math.nan):
+        with pytest.raises(ValueError) as exc:
+            optimal_outcoupler(loss)
+        assert str(exc.value) == f"loss must lie in (0, 1), got {loss}"
 
 
 def test_optimal_outcoupler_beats_grid():
@@ -148,10 +155,15 @@ def test_effective_enhancement_detuning():
         effective_enhancement(CAV, PulseSpec(266e-9), cavity_detuning=-10e6), rel=1e-9)
 
 
-def test_half_linewidth_detuning_halves_lorentzian_weight():
-    # At delta = half linewidth the spectrum factor is 1/2 for a narrow pulse.
-    eff = effective_enhancement(CAV, PulseSpec(50e-6), cavity_detuning=linewidth(CAV) / 2)
-    assert eff / enhancement_factor(CAV) == pytest.approx(0.5, rel=1e-3)
+@pytest.mark.parametrize("detuning, weight", [
+    (0.0, 1.0), (0.5, 0.5), (1.0, 0.2), (-1.0, 0.2),
+], ids=["resonant", "half-linewidth", "linewidth", "minus-linewidth"])
+def test_half_linewidth_detuning_halves_lorentzian_weight(detuning, weight):
+    # For a narrow pulse the spectrum factor is the Lorentzian
+    # 1 / (1 + (2 delta / linewidth)^2): 1/2 at half a linewidth, 1/5 at one.
+    eff = effective_enhancement(CAV, PulseSpec(50e-6),
+                                cavity_detuning=detuning * linewidth(CAV))
+    assert eff / enhancement_factor(CAV) == pytest.approx(weight, rel=1e-6)
 
 
 @pytest.mark.parametrize("kwargs", [

@@ -415,6 +415,12 @@ def test_ensemble_validation():
         AtomEnsemble(np.zeros(3), np.zeros(4))
     with pytest.raises(ValueError):
         AtomEnsemble(np.zeros(0), np.zeros(0))
+    for field in ("k_sw", "zeeman_coeff"):
+        with pytest.raises(ValueError, match=r"^k_sw and zeeman_coeff must be >= 0$"):
+            AtomEnsemble(np.zeros(3), np.zeros(3), **{field: -1.0})
+    with pytest.raises(ValueError, match="^need at least 3 quadrature nodes$"):
+        echo_profiles(AtomEnsemble(np.zeros(3), np.zeros(3)), FieldTimeline.reversal(2.0, 1e-6),
+                      0.0, [PulseSpec(266e-9)], 0.4, [2e-6], nodes=2)
 
 
 def test_ensembles_compare_by_identity():

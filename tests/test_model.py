@@ -248,6 +248,8 @@ def test_max_modes_zero_when_single_mode_fails():
 def test_max_modes_threshold_validation():
     with pytest.raises(ValueError):
         max_modes(BASE, 1.0)
+    with pytest.raises(ValueError, match="^max_modes is undefined at p = 0$"):
+        max_modes(replace(BASE, p=0.0), 5.8)
 
 
 def test_cross_correlation_undefined_at_zero_excitation():

@@ -76,3 +76,7 @@ def test_validation():
         readout_latency(LINK, "other")
     with pytest.raises(ValueError):
         readout_latency(LINK, FREEZE_RELEASE, frozen_interval=-1e-6)
+    for field in ("herald_time", "decision_delay"):
+        with pytest.raises(ValueError,
+                           match="^herald_time and decision_delay must be >= 0$"):
+            LinkParams(100e3, **{field: -1e-6})

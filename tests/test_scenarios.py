@@ -1,6 +1,8 @@
 """Scenario runner, CSV/JSON emitters, CLI exit codes, golden files."""
 
+import contextlib
 import hashlib
+import io
 import json
 import re
 import subprocess
@@ -10,7 +12,8 @@ from pathlib import Path
 import pytest
 
 from muxmem.cli import main
-from muxmem.config import SCENARIOS, parse_config
+from muxmem.config import SCENARIOS, ScenarioConfig, parse_config
+from muxmem.repeater import FREEZE_RELEASE, readout_latency
 from muxmem.scenarios import ScenarioResult, emit_csv, run_scenario
 
 from conftest import GOLDEN, child_env
@@ -129,6 +132,9 @@ def test_cli_config_error_exit_2(tmp_path, capsys):
 def test_cli_scenario_mismatch_exit_2(tmp_path):
     assert main(["echo", "--config", golden_config("crosstalk"),
                  "--out", str(tmp_path)]) == 2
+    # The runner itself names a scenario it does not know.
+    with pytest.raises(ValueError, match="^unknown scenario 'nope'$"):
+        run_scenario(ScenarioConfig(scenario="nope"))
 
 
 def test_cli_model_error_exit_3(tmp_path, capsys):
@@ -245,6 +251,42 @@ def test_console_script(tmp_path):
         capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
     assert (tmp_path / "repeater-rate_summary.json").exists()
+
+
+def test_repeater_rate_under_freeze_release():
+    # The frozen interval from the schedule joins the freeze/release latency;
+    # the immediate-reversal latency and the rate table do not depend on it.
+    cfg = parse_config(json.dumps({
+        "scenario": "repeater-rate",
+        "schedule": {"policy": "freeze_release", "freeze_time_s": 1e-6,
+                     "release_time_s": 5e-6}}))
+    result = run_scenario(cfg)
+    latency = readout_latency(cfg.link, FREEZE_RELEASE, frozen_interval=4e-6)
+    assert result.summary["latency_freeze_release_s"] == latency
+    assert latency == pytest.approx(0.000505, rel=1e-12)
+    assert result.summary["latency_immediate_reversal_s"] == pytest.approx(0.001002, rel=1e-12)
+    assert result.rows == run_scenario(parse_config('{"scenario": "repeater-rate"}')).rows
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_code_runs():
+    # Both python blocks run in one namespace (the engine example reuses the
+    # quickstart's ``mem``), and each quickstart print matches the value its
+    # comment states, to the digits stated.
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    assert len(blocks) == 2
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        namespace = {}
+        for block in blocks:
+            exec(block, namespace)
+    stated = re.findall(r"^print\(.*# .*?([\d.]+)$", blocks[0], re.M)
+    assert stated == ["8.82", "19", "1"]
+    for text, line in zip(stated, out.getvalue().splitlines()):
+        digits = len(text.partition(".")[2])
+        assert f"{float(line):.{digits}f}" == text
 
 
 # Runs the engine end to end in a fresh interpreter: only the cavity design
