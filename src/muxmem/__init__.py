@@ -42,7 +42,6 @@ from .cavity import (
     linewidth,
     optimal_outcoupler,
     rate_gain,
-    transmission_spectrum,
 )
 from .ensemble import (
     AtomEnsemble,

@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 #: Speed of light in vacuum, m/s (exact in the SI).
 SPEED_OF_LIGHT = 299792458.0
 
@@ -91,10 +89,8 @@ def rate_gain(cav: CavityParams) -> float:
 def optimal_outcoupler(loss: float) -> tuple[float, float]:
     """Outcoupler transmission maximizing :func:`rate_gain` at fixed loss.
 
-    Returns (T_opt, gain_max), searched over 1e-4 <= T <= 0.9999.
+    Returns (T_opt, gain_max), searched over 1e-4 <= T <= 0.9999.  CavityParams checks ``loss``.
     """
-    if not 0.0 < loss < 1.0:
-        raise ValueError(f"loss must lie in (0, 1), got {loss}")
     from scipy.optimize import minimize_scalar  # scipy loads only with the cavity design
 
     def neg_gain(t: float) -> float:
@@ -115,19 +111,6 @@ def linewidth(cav: CavityParams) -> float:
     return fsr(cav) / finesse(cav)
 
 
-def transmission_spectrum(cav: CavityParams, detuning) -> np.ndarray | float:
-    """Single-resonance Lorentzian transmission, normalized to 1 on resonance.
-
-        T(delta) = 1 / (1 + (2 delta / linewidth)^2)
-
-    Valid for |detuning| well below FSR/2 where neighbouring orders are far.
-    """
-    gamma = linewidth(cav)
-    d = np.asarray(detuning, dtype=float)
-    out = 1.0 / (1.0 + (2.0 * d / gamma) ** 2)
-    return float(out) if np.isscalar(detuning) else out
-
-
 def effective_enhancement(
     cav: CavityParams, pulse: PulseSpec, cavity_detuning: float = 0.0
 ) -> float:
@@ -136,8 +119,8 @@ def effective_enhancement(
     The pulse's normalized Gaussian power spectrum (FWHM ``pulse.spectral_fwhm``,
     centred at zero) is integrated against the Lorentzian resonance shifted by
     ``cavity_detuning``; the overlap in [0, 1] scales :func:`enhancement_factor`.
-    In the narrow-band limit this reduces to
-    enhancement * transmission_spectrum(detuning).
+    In the narrow-band limit (and |detuning| << FSR/2) this reduces to
+    enhancement / (1 + (2 detuning / linewidth)^2).
     """
     from scipy.integrate import quad  # scipy loads only with the pulse overlap
 

@@ -338,10 +338,10 @@ def rephasing_time(timeline: FieldTimeline, write_time: float) -> float:
     drift, else the stable quadratic formula (Press et al., *Numerical
     Recipes*, sec. 5.6), divided through by 2 pi 100 g so that no square
     underflows.  I(write_time) is exactly 0, so the search starts at the first
-    knot after it.  A knot where |I| is at most 1e-12 of the integral's total
-    variation since the write is itself the echo; the threshold is relative,
-    so a weak gradient that never reverses still raises.  Raises
-    :class:`NoRephasingError` when no crossing exists before the horizon.
+    knot after it.  A knot where |I| is at most 1e-12 of its total variation since
+    the write is the echo once I has moved or where a gradient starts to move it (a
+    write in a freeze gets the release); a weak or zero gradient that never reverses
+    still raises.  Raises :class:`NoRephasingError` if no crossing precedes the horizon.
     """
     t_end = write_time + REPHASING_HORIZON
     d = timeline.drift_rate
@@ -354,9 +354,9 @@ def rephasing_time(timeline: FieldTimeline, write_time: float) -> float:
     # knot value counts as zero.
     a, fa, variation = write_time, 0.0, 0.0
     for b in sorted(knots) + [t_end]:
-        if a > write_time and abs(fa) <= 1e-12 * variation:
-            return a
         grad = next((g for start, g in reversed(timeline.segments) if start <= a), 0.0)
+        if a > write_time and abs(fa) <= 1e-12 * variation and (variation > 0.0 or grad != 0.0):
+            return a
         h, slope = b - a, 1.0 + d * a
         fb = fa + _PHASE_SCALE * grad * (h * slope + d * h * h / 2.0)
         # Signs, not fa * fb, which underflows for a weak gradient; a zero

@@ -410,7 +410,6 @@ def estimate_statistics(tally: CountsTally) -> TallyStatistics:
         # zero pairs with data present: report 0 with a one-count upper bound
         zero = (pairs == 0) & (hr > 0) & (p_r[None, :] > 0)
         one_sided = (1.0 / np.maximum(hr, 1)) / p_r[None, :]
-        g2 = np.where(zero, 0.0, g2)
         g2_err = np.where(zero, one_sided, g2_err)
     return TallyStatistics(p_w, p_w_err, p_r, p_wr, g2, g2_err)
 

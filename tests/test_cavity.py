@@ -19,7 +19,6 @@ from muxmem.cavity import (
     linewidth,
     optimal_outcoupler,
     rate_gain,
-    transmission_spectrum,
 )
 
 CAV = CavityParams(transmission=0.14, loss=0.11, roundtrip_length=0.877)
@@ -101,17 +100,6 @@ def test_measured_finesse_reproduces_quoted_linewidth():
     cav = CavityParams(t22, 0.11, roundtrip_length=c / 342e6)
     assert linewidth(cav) == pytest.approx(342e6 / 22.2, rel=1e-9)
     assert linewidth(cav) == pytest.approx(15.405405e6, rel=1e-6)
-
-
-def test_transmission_spectrum_lorentzian_points():
-    gamma = linewidth(CAV)
-    assert transmission_spectrum(CAV, 0.0) == pytest.approx(1.0)
-    assert transmission_spectrum(CAV, gamma / 2) == pytest.approx(0.5, rel=1e-12)
-    assert transmission_spectrum(CAV, gamma) == pytest.approx(0.2, rel=1e-12)
-    # Symmetric and vectorized.
-    dets = np.array([-gamma, -gamma / 2, 0.0, gamma / 2, gamma])
-    vals = transmission_spectrum(CAV, dets)
-    np.testing.assert_allclose(vals, vals[::-1])
 
 
 def test_pulse_spectral_width():

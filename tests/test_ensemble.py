@@ -184,12 +184,22 @@ def test_rephasing_time_freeze_release():
     timeline = FieldTimeline.freeze_release(2.0, 1e-6, 3e-6)
     t_w = 0.4e-6
     assert rephasing_time(timeline, t_w) == pytest.approx(3e-6 + (1e-6 - t_w), abs=1e-12)
+    # A write during the freeze has no phase until the release, for either
+    # sign of the gradient.
+    for gradient in (2.0, -2.0):
+        assert rephasing_time(FieldTimeline.freeze_release(gradient, 1e-6, 3e-6), 1.5e-6) == 3e-6
 
 
 def test_rephasing_requires_reversal():
     timeline = FieldTimeline(((0.0, 2.0),))
     with pytest.raises(NoRephasingError):
         rephasing_time(timeline, 0.0)
+    # A zero gradient never moves the phase integral, so no echo forms, with
+    # a reversal or a freeze/release as with a constant field.
+    for timeline in (FieldTimeline(((0.0, 0.0),)), FieldTimeline.reversal(0.0, 2e-6),
+                     FieldTimeline.freeze_release(0.0, 1e-6, 3e-6)):
+        with pytest.raises(NoRephasingError):
+            rephasing_time(timeline, 0.0)
 
 
 @pytest.mark.parametrize("gradient", [1e-12, 1e-6, 2.0])

@@ -160,6 +160,12 @@ def test_cli_no_rephasing_exit_3(tmp_path, capsys):
     assert main(["protocol-run", "--config", str(bad), "--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err
     assert "model error" in err and "does not return to zero" in err
+    # A zero gradient never dephases, so it has no echo either.
+    flat = tmp_path / "flat.json"
+    flat.write_text('{"scenario": "echo", "schedule": {"gradient_g_per_cm": 0}}')
+    assert main(["echo", "--config", str(flat), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "model error" in err and "does not return to zero" in err
 
 
 def test_cli_freeze_at_time_zero_exit_2(tmp_path, capsys):
