@@ -14,16 +14,16 @@ at its programmed readout.
 Trials are partitioned into fixed-size blocks, each driven by its own
 counter-derived Philox stream.  A block is tallied in one vectorized pass:
 the write clicks are listed once, read modes are slices of a pattern built
-once per call, and each family of counts is one ``np.bincount`` over a key
-that adds flags to the read mode or (herald mode, read mode) cell.  Cycled
-and fixed readouts read, unconditionally, in every trial, so they skip the
-gathers.  The blocks run on a thread pool with one worker per usable CPU (at
-most one per block): worker w takes blocks w, w + W, ... into its own tally.
-A block's two dense Bernoulli draws compare raw Philox words against exact
-integer bounds, chunk by chunk, with the bits of ``random() < q``
-(:func:`_draw_below`).  The worker tallies are then added field by field.
-Integer addition is exact and order-free, so every count has the same bits on
-any number of CPUs.
+once per call, each family of counts is one ``np.bincount`` over a key that
+adds flags to the read mode or (herald mode, read mode) cell, and only trials
+whose uniform can give a photon take the background logarithm.  Cycled and
+fixed readouts read in every trial, so they skip the gathers and set the read
+counts, which no draw changes, once per call.  Worker w of W (one per usable
+CPU, at most one per block) takes blocks w, w + W, ... into its own tally;
+worker 0 runs on the calling thread.  The Bernoulli draws compare raw Philox
+words with exact integer bounds, bit for bit ``random() < q``
+(:func:`_draw_below`).  The worker tallies are added field by field: integer
+addition is exact and order-free, so every count has the same bits on any CPU count.
 """
 
 from __future__ import annotations
@@ -181,6 +181,19 @@ def _draw_below(rng, q, out) -> None:
         np.less(words, limit, out=flat[lo:lo + words.size])
 
 
+def _background(u, r, q, log_q):
+    """Thermal photons ``floor(log1p(-u) / log_q[r])``, taken where u >= q[r]·(1 − 10⁻⁹).
+
+    Elsewhere it is 0 with the same bits: log1p(-u) / log1p(-q) is convex in u,
+    0 at 0 and 1 at q, so there it stays under u / q < 1 − 10⁻⁹, a margin that
+    rounding (~10⁻¹⁶, relative) cannot close.  At nbar = 0 (q = 1) it is +0.
+    """
+    n = np.zeros(r.size, dtype=np.int64)
+    c = np.flatnonzero(u >= (q * (1.0 - 1e-9))[r])
+    n[c] = np.floor(np.log1p(-u[c]) / log_q[r[c]])
+    return n
+
+
 def run_trials(
     mem: MemoryParams,
     schedule: ModeSchedule,
@@ -191,17 +204,17 @@ def run_trials(
 ) -> CountsTally:
     """Simulate ``n_trials`` write/read trials and return their tally.
 
-    ``readout`` is :data:`FEED_FORWARD` (read the first heralded mode;
-    odd-indexed trials instead run a fixed-mode pass cycling through the modes
-    to normalize the statistics), :data:`CYCLE` (every trial is an
-    unconditional fixed-mode pass, cycling through the modes), or an integer
-    mode index for fixed-mode readout of every trial.  ``retrieval_scale``
+    ``readout`` is :data:`FEED_FORWARD` (read the first heralded mode; odd
+    trials instead run a fixed-mode pass cycling through the modes to normalize
+    the statistics), :data:`CYCLE` (every trial a fixed-mode pass, cycling
+    through the modes) or a mode index read in every trial; for these two the
+    read counts, which no draw changes, are set once.  ``retrieval_scale``
     optionally multiplies the decayed intrinsic retrieval per mode (external
-    rephasing deficits); the background mean is ``model.noise_given_write``.
-    ``seed`` is an integer under the rule for counts.  Deterministic for fixed
-    (seed, n_trials): the blocks run concurrently, one thread per usable CPU,
-    but each block has its own Philox stream and the per-worker tallies are
-    summed as integers, so the bits do not depend on the CPU count.
+    rephasing deficits); the background mean is ``model.noise_given_write``,
+    drawn only where it can be nonzero.  ``seed`` is an integer under the rule
+    for counts.  Deterministic for fixed (seed, n_trials): blocks run on one
+    thread per usable CPU, the caller's among them, each on its own Philox
+    stream, and worker tallies add as integers, so no bit depends on the CPU count.
     """
     m = mem.n_modes
     if schedule.n_modes != m:
@@ -226,8 +239,8 @@ def run_trials(
     nbar = noise_given_write(mem, schedule.storage_times)
     # Bose-Einstein photon number via inverse-CDF of the geometric law with
     # q = 1 / (1 + nbar); log(1 - q) = -inf for nbar = 0 gives no photons.
-    log_q = np.array([math.log1p(-1.0 / (1.0 + n)) if n > 0 else -math.inf
-                      for n in nbar])
+    q = 1.0 / (1.0 + nbar)
+    log_q = np.array([math.log1p(-qj) if n > 0 else -math.inf for qj, n in zip(q, nbar)])
 
     n_blocks = (n_trials + BLOCK_SIZE - 1) // BLOCK_SIZE
     # Read modes from an even block start: cycled trial start + k reads
@@ -286,8 +299,7 @@ def run_trials(
             r = pattern[start % m:][:size]
             ct, cm, cr = click_t, click_m, r[click_t]
         coh = spin.reshape(-1)[rt * m + r] & (u[0] < p_coh[r])
-        noise = np.floor(np.log1p(-u[1]) / log_q[r]).astype(np.int64)
-        ph = n_photons = coh + noise
+        ph = n_photons = coh + _background(u[1], r, q, log_q)
         if readout == FEED_FORWARD:
             n_photons = np.zeros(size, dtype=np.int64)
             n_photons[rt] = ph
@@ -313,12 +325,8 @@ def run_trials(
             tally.n_uncond_reads += reads[1]
             tally.unconditional_read_counts += count(r, ph * us)
             tally.uncond_coincidence_counts += count(key, ph_c * odd[ct], m * m).reshape(m, m)
-        else:
-            reads = count(r)
-            tally.n_reads += reads
-            tally.n_uncond_reads += reads
-            tally.unconditional_read_counts += count(r, ph)
-            tally.uncond_coincidence_counts += pairs
+        else:  # the fields that the draws cannot change are set once per call
+            tally.unconditional_read_counts += count(r[lit], ph[lit])
         tally.coincidence_counts += pairs
         lit_cells = count(key + m * m * (ph_c > 0), n=2 * m * m).reshape(2, m, m)
         tally.herald_reads += lit_cells[0] + lit_cells[1]
@@ -346,14 +354,21 @@ def run_trials(
             run_block(b, tally, spin, write)
         return tally
 
-    from concurrent.futures import ThreadPoolExecutor  # logging loads only with the trials
-
-    with ThreadPoolExecutor(workers) as pool:
-        total, *rest = pool.map(run_worker, range(workers))
+    if workers == 1:
+        total, rest = run_worker(0), ()
+    else:
+        from concurrent.futures import ThreadPoolExecutor  # logging loads only with the trials
+        with ThreadPoolExecutor(workers - 1) as pool:  # worker 0 runs on the calling thread
+            rest = pool.map(run_worker, range(1, workers))
+            total = run_worker(0)
     for part in rest:
         total.n_trials += part.n_trials
         for f in fields(CountsTally)[2:]:
             getattr(total, f.name)[...] += getattr(part, f.name)
+    if readout != FEED_FORWARD:  # trial t reads pattern[t % m]
+        total.n_reads[:] = count(pattern[:n_trials % m]) + n_trials // m * count(pattern[:m])
+        total.n_uncond_reads[:] = total.n_reads
+        total.uncond_coincidence_counts[:] = total.coincidence_counts
     return total
 
 

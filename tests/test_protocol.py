@@ -33,6 +33,7 @@ from muxmem.protocol import (
     run_trials,
     run_train,
     _DRAW_CHUNK,
+    _background,
     _block_rng,
     _draw_below,
 )
@@ -580,6 +581,33 @@ def test_word_bound_draw_equals_uniform_draw(seed, size, m, pick):
         np.testing.assert_array_equal(got.binomial(n, 0.5), ref.binomial(n, 0.5))
 
 
+NBARS = (0.0, 1e-12, 1e-3, 0.2, 5.0, 1e6)
+
+
+def test_background_candidates_equal_dense_rule():
+    # Mode j has background mean NBARS[j].  Its uniforms sit on both sides
+    # of the candidate bound thr = q·(1 − 10⁻⁹) and of q, where the dense
+    # rule first gives a photon, then 10⁴ random values; u = 1 is no draw.
+    q = 1.0 / (1.0 + np.array(NBARS))
+    log_q = np.array([math.log1p(-qj) if n > 0 else -math.inf for qj, n in zip(q, NBARS)])
+    rng = np.random.default_rng(8)
+    us, rs = [], []
+    for j, qj in enumerate(q):
+        thr = qj * (1.0 - 1e-9)
+        edges = [0.0, thr, np.nextafter(thr, -1.0), np.nextafter(thr, 2.0), qj,
+                 np.nextafter(qj, -1.0), np.nextafter(qj, 2.0), 1.0 - 2.0 ** -53]
+        u = np.concatenate([[e for e in edges if e < 1.0], rng.random(10 ** 4)])
+        us.append(u)
+        rs.append(np.full(u.size, j))
+    u, r = np.concatenate(us), np.concatenate(rs)
+    dense = np.floor(np.log1p(-u) / log_q[r]).astype(np.int64)
+    np.testing.assert_array_equal(_background(u, r, q, log_q), dense)
+    # The edge is exercised: u = q is the first value with a photon.
+    at_q = u == q[r]
+    assert at_q.sum() == 5 and np.all(dense[at_q] == 1)
+    assert dense.max() > 10 ** 6
+
+
 def loop_run_trials(mem, schedule, n_trials, seed, readout, retrieval_scale=None):
     """Reference engine: the same draws as run_trials, tallied mode by mode."""
     m = mem.n_modes
@@ -639,15 +667,20 @@ def loop_run_trials(mem, schedule, n_trials, seed, readout, retrieval_scale=None
     return total
 
 
+# Background regimes: none, weak, and multi-photon (a mean of 2 to 5
+# photons per read at M >= 3), where most trials are background candidates.
+BACKGROUNDS = (dict(xi_eg=0.0), dict(xi_eg=1.0), dict(p=0.9, beta_ratio=1.0, eta_r=1.0))
+
+
 @settings(max_examples=25, deadline=None)
 @given(m=st.integers(1, 6), n_trials=st.integers(1, 9000), seed=st.integers(0, 2**32),
        readout=st.sampled_from([FEED_FORWARD, CYCLE, "fixed"]),
-       xi_eg=st.sampled_from([0.0, 1.0]), scaled=st.booleans(), data=st.data())
-def test_vectorized_tally_equals_loop_reference(m, n_trials, seed, readout, xi_eg,
+       background=st.sampled_from(BACKGROUNDS), scaled=st.booleans(), data=st.data())
+def test_vectorized_tally_equals_loop_reference(m, n_trials, seed, readout, background,
                                                 scaled, data):
     if readout == "fixed":
         readout = data.draw(st.integers(0, m - 1))
-    mem = replace(PINNED, n_modes=m, xi_eg=xi_eg)
+    mem = replace(PINNED, n_modes=m, **background)
     scale = np.linspace(0.2, 1.0, m) if scaled else None
     schedule = reversal_schedule(m)
     assert_tallies_equal(
@@ -692,6 +725,20 @@ def test_tally_same_bits_on_any_cpu_count(cpus, n_trials):
     with mock.patch.object(protocol, "_usable_cpus", lambda: cpus):
         got = run_trials(mem, schedule, n_trials, seed=77)
     assert_tallies_equal(got, loop_run_trials(mem, schedule, n_trials, 77, FEED_FORWARD))
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+@pytest.mark.parametrize("n_trials", POOL_TRIALS)
+@pytest.mark.parametrize("readout", [CYCLE, 4])
+def test_unconditional_reads_same_bits_on_any_cpu_count(readout, cpus, n_trials):
+    # Cycled and fixed readouts set n_reads, n_uncond_reads and
+    # uncond_coincidence_counts once per call, after the worker tallies are
+    # added; at one trial, eight of the nine modes are never read.
+    mem = replace(PINNED, n_modes=9)
+    schedule = reversal_schedule(9)
+    with mock.patch.object(protocol, "_usable_cpus", lambda: cpus):
+        got = run_trials(mem, schedule, n_trials, seed=77, readout=readout)
+    assert_tallies_equal(got, loop_run_trials(mem, schedule, n_trials, 77, readout))
 
 
 def pool_digests():
