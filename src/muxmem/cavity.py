@@ -128,9 +128,10 @@ def effective_enhancement(
     sigma = pulse.spectral_fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
     delta = cavity_detuning
     norm = 1.0 / (sigma * math.sqrt(2.0 * math.pi))
+    two_var = 2.0 * sigma * sigma
 
     def integrand(nu: float) -> float:
-        s = norm * math.exp(-nu * nu / (2.0 * sigma * sigma))
+        s = norm * math.exp(-nu * nu / two_var)
         return s / (1.0 + (2.0 * (nu - delta) / gamma) ** 2)
 
     # Finite span with subdivision points at both peaks: quad on an infinite

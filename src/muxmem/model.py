@@ -100,7 +100,7 @@ class MemoryParams:
         Accepts a scalar or array; negative times are rejected.
         """
         t = np.asarray(storage_time, dtype=float)
-        if np.any(t < 0.0):
+        if (t < 0.0).any():
             raise ValueError("storage_time must be >= 0")
         x = t / self.tau_mem
         if self.decay_shape == "gaussian":

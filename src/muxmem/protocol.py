@@ -12,18 +12,22 @@ drifting applied field it scales each mode's retrieval by the echo contrast
 at its programmed readout.
 
 Trials are partitioned into fixed-size blocks, each driven by its own
-counter-derived Philox stream.  A block is tallied in one vectorized pass:
-the write clicks are listed once, read modes are slices of a pattern built
-once per call, each family of counts is one ``np.bincount`` over a key that
-adds flags to the read mode or (herald mode, read mode) cell, and only trials
-whose uniform can give a photon take the background logarithm.  Cycled and
-fixed readouts read in every trial, so they skip the gathers and set the read
-counts, which no draw changes, once per call.  Worker w of W (one per usable
-CPU, at most one per block) takes blocks w, w + W, ... into its own tally;
-worker 0 runs on the calling thread.  The Bernoulli draws compare raw Philox
-words with exact integer bounds, bit for bit ``random() < q``
-(:func:`_draw_below`).  The worker tallies are added field by field: integer
-addition is exact and order-free, so every count has the same bits on any CPU count.
+counter-derived Philox stream.  Up to four consecutive blocks form a pass
+(fewer above eight modes, one from 17 modes, :func:`_pass_blocks`): each
+block draws from its own stream into its own rows of the pass arrays, then
+the pass is tallied with one set of numpy calls, and each block's splitter
+draws cover its own trials.  In the tally the write clicks are listed once,
+read modes are slices of a pattern built once per call, each family of
+counts is one ``np.bincount`` over a key that adds flags to the read mode or
+(herald mode, read mode) cell, and only trials whose uniform can give a
+photon take the background logarithm.  Cycled and fixed readouts read in
+every trial, so they skip the gathers and set the read counts, which no draw
+changes, once per call.  Worker w of W (one per usable CPU, at most one per
+pass) takes passes w, w + W, ... into its own tally; worker 0 runs on the
+calling thread.  The Bernoulli draws compare raw Philox words with exact
+integer bounds, bit for bit ``random() < q`` (:func:`_draw_below`).  The
+worker tallies are added field by field: integer addition is exact and
+order-free, so every count has the same bits on any CPU count.
 """
 
 from __future__ import annotations
@@ -44,6 +48,14 @@ BLOCK_SIZE = 4096
 #: (4096 x 100) blocks raised ``trial-train``'s peak memory by 6.7 MB; 2**13
 #: to 2**16 words peaked within 0.7 MB, lowest at 2**15 (2 vCPU, 3 runs each).
 _DRAW_CHUNK = 2 ** 15
+
+#: A pass tallies up to this many consecutive blocks with one set of numpy
+#: calls, holding at most ``_PASS_CELLS`` (trial, mode) cells, so its (2, rows)
+#: float uniforms are no larger than the raw-word chunk.  A 13-block cap
+#: (852 kB of uniforms at M = 1, 12 blocks at M = 10) ran ``scenario-suite``
+#: 4.5% slower with 5.7 MB more peak memory (2 vCPU).
+_PASS_BLOCKS = 4
+_PASS_CELLS = 2 ** 17
 
 #: Readout policies: read the first heralded mode (odd trials run fixed-mode
 #: normalization passes), or read mode (trial index mod n_modes) every trial.
@@ -166,6 +178,11 @@ def _block_rng(seed: int, block_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+def _pass_blocks(m: int) -> int:
+    """Blocks per pass at ``m`` modes: several only while they fit ``_PASS_CELLS``."""
+    return max(1, min(_PASS_BLOCKS, _PASS_CELLS // (BLOCK_SIZE * m)))
+
+
 def _draw_below(rng, q, out) -> None:
     """Set ``out`` to ``rng.random(out.shape) < q`` for q in [0, 1], bit for bit.
 
@@ -212,9 +229,11 @@ def run_trials(
     optionally multiplies the decayed intrinsic retrieval per mode (external
     rephasing deficits); the background mean is ``model.noise_given_write``,
     drawn only where it can be nonzero.  ``seed`` is an integer under the rule
-    for counts.  Deterministic for fixed (seed, n_trials): blocks run on one
-    thread per usable CPU, the caller's among them, each on its own Philox
-    stream, and worker tallies add as integers, so no bit depends on the CPU count.
+    for counts.  Deterministic for fixed (seed, n_trials): every block draws
+    from its own Philox stream into its own rows, whichever pass tallies it;
+    passes run on one thread per usable CPU, the caller's among them, and
+    worker tallies add as integers, so no bit depends on the pass layout or
+    the CPU count.
     """
     m = mem.n_modes
     if schedule.n_modes != m:
@@ -243,10 +262,13 @@ def run_trials(
     log_q = np.array([math.log1p(-qj) if n > 0 else -math.inf for qj, n in zip(q, nbar)])
 
     n_blocks = (n_trials + BLOCK_SIZE - 1) // BLOCK_SIZE
-    # Read modes from an even block start: cycled trial start + k reads
+    per_pass = _pass_blocks(m)
+    n_passes = (n_blocks + per_pass - 1) // per_pass
+    rows = min(per_pass * BLOCK_SIZE, n_trials)
+    # Read modes from an even pass start: cycled trial start + k reads
     # pattern[start % m + k]; feed-forward odd row 2k + 1, pattern[(start // 2) % m + k].
-    pattern = np.full(BLOCK_SIZE + m, readout) if fixed else np.arange(BLOCK_SIZE + m) % m
-    odd = np.arange(BLOCK_SIZE) % 2 == 1
+    pattern = np.full(rows + m, readout) if fixed else np.arange(rows + m) % m
+    odd = np.arange(rows) % 2 == 1
 
     def count(keys, weights=None, n=m):
         """Integer histogram of ``keys`` over [0, n).
@@ -254,34 +276,40 @@ def run_trials(
         A key k + K·f, with k < K and f a small integer flag, counts k for
         every value of f in one call.  Weighted bincounts come back as
         float64; the weights are photon counts, some times a 0/1 flag, so a
-        block's sums are integers far below 2**53 and the cast to int64 is exact.
+        pass's sums are integers far below 2**53 and the cast to int64 is exact.
         """
         c = np.bincount(keys, weights, minlength=n)
         return c if weights is None else c.astype(np.int64)
 
-    def run_block(b: int, tally: CountsTally, spin, write) -> None:
-        """Draw block ``b`` and add its counts into ``tally`` in place.
+    def run_pass(p: int, tally: CountsTally, spin, write, u) -> None:
+        """Draw the blocks of pass ``p`` and add their counts into ``tally`` in place.
 
-        ``spin`` and ``write`` are the worker's (rows, m) bool arrays, of
-        which the block uses the first ``size`` rows.
+        ``spin`` and ``write`` are the worker's (rows, m) bool arrays and
+        ``u`` its (2, rows) uniforms, of which the pass uses the first
+        ``size`` rows; each block of the pass fills its own rows of them.
         """
-        start = b * BLOCK_SIZE
-        size = min(BLOCK_SIZE, n_trials - start)
-        rng = _block_rng(seed, b)
-        spin, write = spin[:size], write[:size]
-        _draw_below(rng, mem.p, spin)
-        _draw_below(rng, mem.eta_w, write)
+        blocks = range(p * per_pass, min((p + 1) * per_pass, n_blocks))
+        start = blocks[0] * BLOCK_SIZE
+        size = min(len(blocks) * BLOCK_SIZE, n_trials - start)
+        spin, write, u = spin[:size], write[:size], u[:, :size]
+        rngs = [_block_rng(seed, b) for b in blocks]
+        for i, rng in enumerate(rngs):
+            lo, hi = i * BLOCK_SIZE, min((i + 1) * BLOCK_SIZE, size)
+            _draw_below(rng, mem.p, spin[lo:hi])
+            _draw_below(rng, mem.eta_w, write[lo:hi])
+            # Coherent-photon, then background uniforms: one stream, as
+            # ``random(2 * (hi - lo))`` would lay them out.
+            rng.random(out=u[0, lo:hi])
+            rng.random(out=u[1, lo:hi])
         write &= spin
         # Every write click as (trial, mode), trials ascending and modes
         # ascending within a trial (flat indices are much faster than 2-D
         # np.nonzero).
         click_t, click_m = np.divmod(np.flatnonzero(write), m)
-        # Coherent-photon and background uniforms: one call, same stream.
-        u = rng.random(2 * size).reshape(2, size)
 
         # Each reading trial rt reads mode r.  Feed-forward trials read the first
-        # heralded mode (-1: none), odd rows run unconditional fixed passes; cycled
-        # and fixed readouts read, unconditionally, in every trial: no gathers.
+        # heralded mode (-1: none), odd rows are unconditional fixed-mode reads;
+        # cycled and fixed readouts read, unconditionally, in every trial: no gathers.
         if readout == FEED_FORWARD:
             read_mode = np.full(size, -1, dtype=np.int64)
             read_mode[1::2] = pattern[(start // 2) % m:][:size // 2]
@@ -304,12 +332,15 @@ def run_trials(
             n_photons = np.zeros(size, dtype=np.int64)
             n_photons[rt] = ph
 
-        # Splitter: binomial split of each reading trial's photons.  A
+        # Splitter: binomial split of each reading trial's photons, every
+        # block on its own stream over its own slice of the lit trials.  A
         # binomial with n = 0 draws nothing, so skipping the trials without
         # photons leaves the Philox stream as it is.
         n_a = np.zeros(size, dtype=np.int64)
         lit = np.flatnonzero(n_photons)
-        n_a[lit] = rng.binomial(n_photons[lit], 0.5)
+        ends = np.searchsorted(lit, np.arange(1, len(rngs)) * BLOCK_SIZE)
+        for rng, sl in zip(rngs, np.split(lit, ends)):
+            n_a[sl] = rng.binomial(n_photons[sl], 0.5)
 
         tally.n_trials += size
         tally.write_counts += count(click_m)
@@ -342,16 +373,17 @@ def run_trials(
         tally.split_b += arms[2] + arms[3]
         tally.split_ab += arms[3]
 
-    # Worker w runs blocks w, w + W, ... into its own tally: a shared tally
+    # Worker w runs passes w, w + W, ... into its own tally: a shared tally
     # would race, since += on a large array can release the GIL partway.
-    workers = min(n_blocks, _usable_cpus())
+    workers = min(n_passes, _usable_cpus())
 
     def run_worker(w: int) -> CountsTally:
         tally = CountsTally.zeros(m)
-        spin = np.empty((min(BLOCK_SIZE, n_trials), m), dtype=bool)
+        spin = np.empty((rows, m), dtype=bool)
         write = np.empty_like(spin)
-        for b in range(w, n_blocks, workers):
-            run_block(b, tally, spin, write)
+        u = np.empty((2, rows))
+        for p in range(w, n_passes, workers):
+            run_pass(p, tally, spin, write, u)
         return tally
 
     if workers == 1:

@@ -1,6 +1,7 @@
 """Trial engine, tallies, and correlation estimators."""
 
 import dataclasses
+import functools
 import hashlib
 import math
 import os
@@ -33,9 +34,11 @@ from muxmem.protocol import (
     run_trials,
     run_train,
     _DRAW_CHUNK,
+    _PASS_CELLS,
     _background,
     _block_rng,
     _draw_below,
+    _pass_blocks,
 )
 
 from conftest import child_env, reversal_schedule
@@ -706,6 +709,59 @@ def test_multi_block_tally_equals_loop_reference(m, readout, variant):
     if readout != FEED_FORWARD:
         np.testing.assert_array_equal(got.n_uncond_reads, got.n_reads)
         np.testing.assert_array_equal(got.uncond_coincidence_counts, got.coincidence_counts)
+
+
+def test_pass_size_bounded_at_every_mode_count():
+    # Several blocks share a pass only while their (trial, mode) cells fit
+    # _PASS_CELLS; at most four, so the (2, rows) float uniforms never
+    # outgrow one raw-word chunk.  From M = 17 a pass is one block.
+    for m in range(1, 101):
+        k = _pass_blocks(m)
+        assert 1 <= k <= 4
+        assert k == 1 or k * BLOCK_SIZE * m <= _PASS_CELLS
+        assert 2 * k * BLOCK_SIZE <= _DRAW_CHUNK
+    assert [_pass_blocks(m) for m in (1, 8, 9, 10, 16, 17, 100)] == [4, 4, 3, 3, 2, 1, 1]
+
+
+# Six blocks, the last of 3 trials, at M = 6: pass starts 4096·b and
+# 2048·b are not multiples of 6 for b = 1, 2, 4, 5, so the cycled and
+# feed-forward read patterns start mid-cycle.  "dark" has no background and
+# so few excitations that blocks 2, 4 and 5 of the cycled run hold no
+# photon, so their splitter slices are empty.
+LAYOUT_TRIALS = 5 * BLOCK_SIZE + 3
+LAYOUT_MEMS = {"plain": replace(PINNED, n_modes=6),
+               "dark": replace(PINNED, n_modes=6, xi_eg=0.0, p=0.002)}
+
+
+@functools.lru_cache(maxsize=None)
+def layout_reference(readout, variant):
+    return loop_run_trials(LAYOUT_MEMS[variant], reversal_schedule(6), LAYOUT_TRIALS,
+                           2021, readout)
+
+
+def test_dark_layout_has_blocks_without_photons():
+    ends = [BLOCK_SIZE * k for k in range(1, 6)] + [LAYOUT_TRIALS]
+    photons = [loop_run_trials(LAYOUT_MEMS["dark"], reversal_schedule(6), n, 2021, CYCLE)
+               .unconditional_read_counts.sum() for n in ends]
+    assert np.diff(photons, prepend=0).tolist() == [1, 2, 0, 2, 0, 0]
+
+
+@pytest.mark.parametrize("variant", ["plain", "dark"])
+@pytest.mark.parametrize("readout", [FEED_FORWARD, CYCLE, 2])
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("per_pass", [1, 2, 4, 6])
+def test_pass_layouts_change_no_bit(per_pass, cpus, readout, variant):
+    # One-block passes; passes of 2 and 4 whose last pass ends in the
+    # partial block; and all six blocks in one pass.  The cell limit is set
+    # to exactly per_pass blocks.  Each block draws its own stream into its
+    # own rows, so every layout gives the same bits.
+    with mock.patch.object(protocol, "_PASS_BLOCKS", per_pass), \
+            mock.patch.object(protocol, "_PASS_CELLS", per_pass * BLOCK_SIZE * 6), \
+            mock.patch.object(protocol, "_usable_cpus", lambda: cpus):
+        assert protocol._pass_blocks(6) == per_pass
+        got = run_trials(LAYOUT_MEMS[variant], reversal_schedule(6), LAYOUT_TRIALS, 2021,
+                         readout=readout)
+    assert_tallies_equal(got, layout_reference(readout, variant))
 
 
 # Block counts around the pool sizes: one partial block; three blocks, the
