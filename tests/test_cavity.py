@@ -1,12 +1,16 @@
 """Resonator figures of merit and pulse-bandwidth averaging."""
 
 import math
+import random
+import warnings
 
 import numpy as np
 import pytest
 from scipy.constants import c
-from scipy.optimize import brentq
+from scipy.integrate import IntegrationWarning, quad
+from scipy.optimize import brentq, minimize_scalar
 
+from muxmem import _numerics
 from muxmem.cavity import (
     CavityParams,
     PulseSpec,
@@ -20,6 +24,7 @@ from muxmem.cavity import (
     optimal_outcoupler,
     rate_gain,
 )
+from muxmem.config import parse_config
 
 CAV = CavityParams(transmission=0.14, loss=0.11, roundtrip_length=0.877)
 
@@ -168,3 +173,138 @@ def test_cavity_validation(kwargs):
 def test_pulse_validation():
     with pytest.raises(ValueError):
         PulseSpec(0.0)
+
+
+# --- The scipy-free ports give scipy's bits -------------------------------
+# effective_enhancement ran scipy.integrate.quad (QUADPACK dqagpe) and
+# optimal_outcoupler scipy.optimize.minimize_scalar (bounded Brent).  The
+# references below are those calls, with the integrand as it was written.
+
+def overlap_problem(cav, pulse, cavity_detuning):
+    """(integrand, span, points, coef) of effective_enhancement's overlap."""
+    gamma = linewidth(cav)
+    sigma = pulse.spectral_fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
+    delta = cavity_detuning
+    norm = 1.0 / (sigma * math.sqrt(2.0 * math.pi))
+    two_var = 2.0 * sigma * sigma
+
+    def integrand(nu):
+        s = norm * math.exp(-nu * nu / two_var)
+        return s / (1.0 + (2.0 * (nu - delta) / gamma) ** 2)
+
+    span = 10.0 * sigma + 4.0 * gamma + abs(delta)
+    raw = (-8 * sigma, -4 * sigma, -sigma, 0.0, sigma, 4 * sigma, 8 * sigma,
+           delta - gamma, delta, delta + gamma)
+    points = sorted(p for p in set(raw) if -span < p < span)
+    return integrand, span, points, (norm, two_var, delta, gamma / 2.0)
+
+
+def quad_enhancement(cav, pulse, cavity_detuning=0.0):
+    integrand, span, points, _ = overlap_problem(cav, pulse, cavity_detuning)
+    overlap, _ = quad(integrand, -span, span, points=points, epsrel=1e-8, limit=400)
+    return enhancement_factor(cav) * min(overlap, 1.0)
+
+
+@pytest.fixture
+def qelg_calls(monkeypatch):
+    """Counts calls of the port's epsilon-algorithm extrapolation (dqelg)."""
+    calls = []
+    extrapolate = _numerics._qelg
+
+    def counted(*args):
+        calls.append(1)
+        return extrapolate(*args)
+
+    monkeypatch.setattr(_numerics, "_qelg", counted)
+    return calls
+
+
+def test_effective_enhancement_same_bits_as_quad_on_scenario_grid():
+    cfg = parse_config('{"scenario": "pulse-enhancement"}')
+    span = cfg.options["detuning_span_hz"]
+    detunings = [0.0] + [float(d) for d in np.linspace(-span / 2, span / 2,
+                                                       cfg.options["n_points"])]
+    for dur in cfg.options["durations_s"]:
+        pulse = PulseSpec(dur)
+        for d in detunings:
+            assert effective_enhancement(cfg.cavity, pulse, d) == \
+                quad_enhancement(cfg.cavity, pulse, d), (dur, d)
+
+
+def test_effective_enhancement_same_bits_as_quad_on_random_draws(qelg_calls):
+    rng = random.Random(2024)
+    extrapolated = 0
+    for _ in range(300):
+        cav = CavityParams(10 ** rng.uniform(-3, -0.05), 10 ** rng.uniform(-3, -0.05),
+                           rng.uniform(0.05, 3.0))
+        pulse = PulseSpec(10 ** rng.uniform(math.log10(0.3e-9), -3))
+        d = rng.choice([0.0, rng.uniform(-1, 1) * linewidth(cav) * 10 ** rng.uniform(-2, 2)])
+        before = len(qelg_calls)
+        assert effective_enhancement(cav, pulse, d) == quad_enhancement(cav, pulse, d), \
+            (cav, pulse, d)
+        extrapolated += len(qelg_calls) > before
+    # The draws exercise QUADPACK's extrapolation, not only plain bisection.
+    assert extrapolated >= 10
+
+
+def test_qagp_same_bits_as_quad_on_lines_off_the_break_points(qelg_calls):
+    # A unit Gaussian times a line 10 to 10^4 times narrower, placed between
+    # 0 to 3 break points, at tight tolerances and small limits: the rule
+    # must hunt the line down by bisection, so extrapolation decides many
+    # results and some runs end in a warning.  With full_output, quad hands
+    # back its warning as a fourth item; the port must warn exactly then.
+    rng = random.Random(5)
+    norm = 1.0 / math.sqrt(2.0 * math.pi)
+    extrapolated = warned = 0
+    for _ in range(1000):
+        gamma = 10 ** rng.uniform(-4, -1)
+        delta = rng.uniform(-3.0, 3.0)
+        points = sorted(rng.sample([-8.0, -4.0, -1.0, 0.0, 1.0, 4.0, 8.0], rng.randint(0, 3)))
+        epsabs = rng.choice([1.49e-8, 1e-14])
+        epsrel = rng.choice([1e-8, 1e-11])
+        limit = rng.choice([50, 400])
+
+        def integrand(nu):
+            return norm * math.exp(-nu * nu / 2.0) / (1.0 + (2.0 * (nu - delta) / gamma) ** 2)
+
+        want = quad(integrand, -10.0, 10.0, points=points, epsabs=epsabs, epsrel=epsrel,
+                    limit=limit, full_output=1)
+        before = len(qelg_calls)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = _numerics.qagp((norm, 2.0, delta, gamma / 2.0), -10.0, 10.0, points,
+                                 epsabs, epsrel, limit)
+        assert got == want[0], (gamma, delta, points, epsabs, epsrel, limit)
+        assert len(caught) == (len(want) == 4)
+        extrapolated += len(qelg_calls) > before
+        warned += len(caught)
+    assert extrapolated >= 900
+    assert warned >= 10
+
+
+@pytest.mark.parametrize("limit, epsabs, epsrel, condition", [
+    (11, 1.49e-8, 1e-8, "maximum number of subdivisions"),
+    (400, 1e-300, 1e-15, "roundoff error"),
+], ids=["limit", "roundoff"])
+def test_quadrature_warns_when_it_does_not_converge(limit, epsabs, epsrel, condition):
+    # A 1 ns pulse needs more than one bisection beyond its 10 break-point
+    # intervals, and no rule reaches a relative 1e-15.  As quad did, the
+    # port warns, names the condition and returns the estimate.
+    integrand, span, points, coef = overlap_problem(CAV, PulseSpec(1e-9), 0.0)
+    assert len(points) + 2 == 11
+    with pytest.warns(UserWarning, match=condition):
+        got = _numerics.qagp(coef, -span, span, points, epsabs, epsrel, limit)
+    with pytest.warns(IntegrationWarning):
+        want, _ = quad(integrand, -span, span, points=points, epsabs=epsabs,
+                       epsrel=epsrel, limit=limit)
+    assert got == want
+
+
+def test_optimal_outcoupler_same_bits_as_minimize_scalar():
+    rng = random.Random(7)
+    for loss in [10 ** rng.uniform(-5, -1e-4) for _ in range(250)] + [0.01, 0.11, 0.5]:
+        res = minimize_scalar(lambda t: -rate_gain(CavityParams(t, loss)),
+                              bounds=(1e-4, 0.9999), method="bounded",
+                              options={"xatol": 1e-10})
+        assert optimal_outcoupler(loss) == (float(res.x), float(-res.fun)), loss
+

@@ -295,35 +295,26 @@ def test_readme_code_runs():
         assert f"{float(line):.{digits}f}" == text
 
 
-# Runs the engine end to end in a fresh interpreter: only the cavity design
-# and the pulse overlap may load scipy.
+# Runs every scenario at its golden (small) config in one fresh interpreter:
+# none of them may load scipy, which is a test dependency only.
 SCIPY_FREE_CHILD = """
 import sys
-import muxmem
 from muxmem.cli import main
-from muxmem.ensemble import FieldTimeline
-from muxmem.protocol import build_schedule, run_trials
-out = sys.argv[1]
-assert main(["protocol-run", "--trials", "2000", "--out", out]) == 0
-assert main(["mode-sweep", "--out", out]) == 0
-schedule = build_schedule(4, 800e-9, 266e-9, FieldTimeline.reversal(2.0, 2.666e-6))
-mem = muxmem.MemoryParams(p=0.045, eta_w=0.3, eta_r=0.25, p_int0=0.4, beta_ratio=14.0,
-                          n_modes=4)
-run_trials(mem, schedule, 1000, seed=1)
+from muxmem.config import SCENARIOS
+golden, out = sys.argv[1:]
+for scenario in SCENARIOS:
+    config = f"{golden}/{scenario}_config.json"
+    assert main([scenario, "--config", config, "--out", out]) == 0, scenario
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 assert not loaded, loaded[:5]
 """
 
 
-def test_engine_runs_without_scipy(tmp_path):
-    proc = subprocess.run([sys.executable, "-c", SCIPY_FREE_CHILD, str(tmp_path)],
+def test_scenarios_run_without_scipy(tmp_path):
+    proc = subprocess.run([sys.executable, "-c", SCIPY_FREE_CHILD, str(GOLDEN), str(tmp_path)],
                           capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
-    proc = subprocess.run(
-        [sys.executable, "-m", "muxmem.cli", "cavity-design", "--out", str(tmp_path)],
-        capture_output=True, text=True, env=child_env())
-    assert proc.returncode == 0, proc.stderr
-    assert (tmp_path / "cavity-design.csv").exists()
+    assert {p.name for p in tmp_path.glob("*.csv")} == {f"{s}.csv" for s in SCENARIOS}
 
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
