@@ -83,7 +83,7 @@ class MemoryParams:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
-        if self.beta_ratio < 1.0:
+        if not self.beta_ratio >= 1.0:  # NaN fails too
             raise ValueError(f"beta_ratio must be >= 1, got {self.beta_ratio}")
         if _integer("n_modes", self.n_modes) < 1:
             raise ValueError(f"n_modes must be a positive integer, got {self.n_modes}")

@@ -11,23 +11,28 @@ Readout times come from a gradient timeline alone (:func:`build_schedule`).
 drifting applied field it scales each mode's retrieval by the echo contrast
 at its programmed readout.
 
-Trials are partitioned into fixed-size blocks, each driven by its own
-counter-derived Philox stream.  Up to four consecutive blocks form a pass
-(fewer above eight modes, one from 17 modes, :func:`_pass_blocks`): each
-block draws from its own stream into its own rows of the pass arrays, then
-the pass is tallied with one set of numpy calls, and each block's splitter
-draws cover its own trials.  In the tally the write clicks are listed once,
-read modes are slices of a pattern built once per call, each family of
-counts is one ``np.bincount`` over a key that adds flags to the read mode or
-(herald mode, read mode) cell, and only trials whose uniform can give a
-photon take the background logarithm.  Cycled and fixed readouts read in
-every trial, so they skip the gathers and set the read counts, which no draw
-changes, once per call.  Worker w of W (one per usable CPU, at most one per
-pass) takes passes w, w + W, ... into its own tally; worker 0 runs on the
-calling thread.  The Bernoulli draws compare raw Philox words with exact
-integer bounds, bit for bit ``random() < q`` (:func:`_draw_below`).  The
-worker tallies are added field by field: integer addition is exact and
-order-free, so every count has the same bits on any CPU count.
+Trials are partitioned into fixed-size blocks, each driven by its own Philox
+stream under the key ``SeedSequence(entropy=seed, spawn_key=(b,))`` gives
+block b; one vectorized pass per call derives every block's key
+(:func:`muxmem._streams.block_keys`).  Up to four consecutive blocks form a
+pass (fewer above eight modes, one from 17 modes, :func:`_pass_blocks`):
+each block draws from its own stream into its own rows of the pass arrays,
+then the pass is tallied with one set of numpy calls, and each block's
+splitter draws cover its own trials.  In the tally the write clicks are
+listed once, read modes are slices of a pattern built once per call, each
+family of counts is one ``np.bincount`` over a key that adds flags to the
+read mode or (herald mode, read mode) cell, and only trials whose uniform
+can give a photon take the background logarithm.  Cycled and fixed readouts
+read in every trial, so they skip the gathers and set the read counts, which
+no draw changes, once per call.  Worker w of W (one per usable CPU, at most
+one per pass) takes passes w, w + W, ... into its own tally, re-keying one
+of its per-pass generator slots for each block; worker 0 runs on the calling
+thread, the others on one thread pool per process
+(:func:`muxmem._streams.start_workers`).  The Bernoulli draws compare raw
+Philox words with exact integer bounds, bit for bit ``random() < q``
+(:func:`_draw_below`).  The worker tallies are added field by field: integer
+addition is exact and order-free, so every count has the same bits on any
+CPU count.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
+from ._streams import block_keys, rekey, start_workers
 from .ensemble import FieldTimeline, collective_efficiency, rephasing_time
 from .model import MemoryParams, _integer, noise_given_write
 
@@ -56,6 +62,9 @@ _DRAW_CHUNK = 2 ** 15
 #: 4.5% slower with 5.7 MB more peak memory (2 vCPU).
 _PASS_BLOCKS = 4
 _PASS_CELLS = 2 ** 17
+
+#: Largest ``n_trials``: block keys take block indices below 2**32.
+_MAX_TRIALS = BLOCK_SIZE << 32
 
 #: Readout policies: read the first heralded mode (odd trials run fixed-mode
 #: normalization passes), or read mode (trial index mod n_modes) every trial.
@@ -173,11 +182,6 @@ class Estimate:
     stderr: float
 
 
-def _block_rng(seed: int, block_index: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(block_index,))
-    return np.random.Generator(np.random.Philox(ss))
-
-
 def _pass_blocks(m: int) -> int:
     """Blocks per pass at ``m`` modes: several only while they fit ``_PASS_CELLS``."""
     return max(1, min(_PASS_BLOCKS, _PASS_CELLS // (BLOCK_SIZE * m)))
@@ -233,7 +237,11 @@ def run_trials(
     from its own Philox stream into its own rows, whichever pass tallies it;
     passes run on one thread per usable CPU, the caller's among them, and
     worker tallies add as integers, so no bit depends on the pass layout or
-    the CPU count.
+    the CPU count.  Block b's key is ``SeedSequence(entropy=seed,
+    spawn_key=(b,))``'s, all keys derived in one vectorized pass per call;
+    each worker re-keys one of its per-pass generator slots for each block,
+    and workers other than the caller's run on one persistent thread pool.
+    ``n_trials`` is at most 2**44, so block indices stay below 2**32.
     """
     m = mem.n_modes
     if schedule.n_modes != m:
@@ -243,6 +251,8 @@ def run_trials(
     n_trials = _integer("n_trials", n_trials)
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
+    if n_trials > _MAX_TRIALS:
+        raise ValueError("n_trials must be <= 2**44 (block indices below 2**32)")
     seed = _integer("seed", seed)
     fixed = readout not in (FEED_FORWARD, CYCLE)
     if fixed:
@@ -264,6 +274,7 @@ def run_trials(
     n_blocks = (n_trials + BLOCK_SIZE - 1) // BLOCK_SIZE
     per_pass = _pass_blocks(m)
     n_passes = (n_blocks + per_pass - 1) // per_pass
+    keys = block_keys(seed, np.arange(n_blocks, dtype=np.uint32))
     rows = min(per_pass * BLOCK_SIZE, n_trials)
     # Read modes from an even pass start: cycled trial start + k reads
     # pattern[start % m + k]; feed-forward odd row 2k + 1, pattern[(start // 2) % m + k].
@@ -281,19 +292,21 @@ def run_trials(
         c = np.bincount(keys, weights, minlength=n)
         return c if weights is None else c.astype(np.int64)
 
-    def run_pass(p: int, tally: CountsTally, spin, write, u) -> None:
+    def run_pass(p: int, tally: CountsTally, spin, write, u, slots) -> None:
         """Draw the blocks of pass ``p`` and add their counts into ``tally`` in place.
 
         ``spin`` and ``write`` are the worker's (rows, m) bool arrays and
         ``u`` its (2, rows) uniforms, of which the pass uses the first
         ``size`` rows; each block of the pass fills its own rows of them.
+        Block i of the pass draws from ``slots[i]``, re-keyed to its stream.
         """
         blocks = range(p * per_pass, min((p + 1) * per_pass, n_blocks))
         start = blocks[0] * BLOCK_SIZE
         size = min(len(blocks) * BLOCK_SIZE, n_trials - start)
         spin, write, u = spin[:size], write[:size], u[:, :size]
-        rngs = [_block_rng(seed, b) for b in blocks]
-        for i, rng in enumerate(rngs):
+        rngs = slots[:len(blocks)]
+        for i, (rng, b) in enumerate(zip(rngs, blocks)):
+            rekey(rng, keys[b])
             lo, hi = i * BLOCK_SIZE, min((i + 1) * BLOCK_SIZE, size)
             _draw_below(rng, mem.p, spin[lo:hi])
             _draw_below(rng, mem.eta_w, write[lo:hi])
@@ -375,25 +388,23 @@ def run_trials(
 
     # Worker w runs passes w, w + W, ... into its own tally: a shared tally
     # would race, since += on a large array can release the GIL partway.
-    workers = min(n_passes, _usable_cpus())
+    cpus = _usable_cpus()
+    workers = min(n_passes, cpus)
 
     def run_worker(w: int) -> CountsTally:
         tally = CountsTally.zeros(m)
         spin = np.empty((rows, m), dtype=bool)
         write = np.empty_like(spin)
         u = np.empty((2, rows))
+        slots = [np.random.Generator(np.random.Philox(0)) for _ in range(per_pass)]
         for p in range(w, n_passes, workers):
-            run_pass(p, tally, spin, write, u)
+            run_pass(p, tally, spin, write, u, slots)
         return tally
 
-    if workers == 1:
-        total, rest = run_worker(0), ()
-    else:
-        from concurrent.futures import ThreadPoolExecutor  # logging loads only with the trials
-        with ThreadPoolExecutor(workers - 1) as pool:  # worker 0 runs on the calling thread
-            rest = pool.map(run_worker, range(1, workers))
-            total = run_worker(0)
-    for part in rest:
+    rest = start_workers(run_worker, workers, cpus)
+    total = run_worker(0)  # worker 0 runs on the calling thread
+    for future in rest:
+        part = future.result()
         total.n_trials += part.n_trials
         for f in fields(CountsTally)[2:]:
             getattr(total, f.name)[...] += getattr(part, f.name)

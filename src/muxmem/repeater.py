@@ -30,7 +30,7 @@ class LinkParams:
             raise ValueError("signal_velocity must be positive and at most c")
         if _integer("n_modes", self.n_modes) < 1:
             raise ValueError("n_modes must be >= 1")
-        if self.herald_time < 0.0 or self.decision_delay < 0.0:
+        if not (self.herald_time >= 0.0 and self.decision_delay >= 0.0):  # NaN fails too
             raise ValueError("herald_time and decision_delay must be >= 0")
 
 
@@ -65,7 +65,7 @@ def readout_latency(link: LinkParams, policy: str, frozen_interval: float = 0.0)
     if policy == IMMEDIATE_REVERSAL:
         return 2.0 * wait
     if policy == FREEZE_RELEASE:
-        if frozen_interval < 0.0:
+        if not frozen_interval >= 0.0:  # NaN fails too
             raise ValueError("frozen_interval must be >= 0")
         return wait + frozen_interval
     raise ValueError(f"unknown readout policy {policy!r}")

@@ -260,7 +260,7 @@ def test_cross_correlation_undefined_at_zero_excitation():
 @pytest.mark.parametrize("kwargs", [
     {"p": -0.1}, {"p": 1.5}, {"eta_w": 1.2}, {"eta_r": -0.2},
     {"p_int0": 1.0001}, {"beta_ratio": 0.5}, {"xi_eg": 2.0},
-    {"n_modes": 0}, {"tau_mem": 0.0}, {"decay_shape": "linear"},
+    {"n_modes": 0}, {"tau_mem": 0.0}, {"decay_shape": "linear"}, {"beta_ratio": math.nan},
 ])
 def test_param_validation(kwargs):
     fields = dict(p=0.045, eta_w=0.3, eta_r=0.25, p_int0=0.4, beta_ratio=14.0)

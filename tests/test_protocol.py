@@ -3,20 +3,25 @@
 import dataclasses
 import functools
 import hashlib
+import itertools
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
+import threading
+import warnings
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from muxmem import protocol
+from muxmem._streams import block_keys
 from muxmem.ensemble import FieldTimeline, collective_efficiency, sample_ensemble
 from muxmem.model import MemoryParams, cross_correlation, retrieval_given_write, write_prob
 from muxmem.protocol import (
@@ -36,7 +41,6 @@ from muxmem.protocol import (
     _DRAW_CHUNK,
     _PASS_CELLS,
     _background,
-    _block_rng,
     _draw_below,
     _pass_blocks,
 )
@@ -390,6 +394,28 @@ def test_engine_rejects_inconsistent_input(call, message):
     assert str(exc.value) == message
 
 
+def test_trial_count_bounded_before_any_draw():
+    # Block keys take block indices below 2**32, so at most 2**44 trials;
+    # a larger count fails before any key, array or thread is made.
+    with mock.patch.object(protocol, "block_keys", side_effect=AssertionError("drew")), \
+            mock.patch.object(protocol, "start_workers", side_effect=AssertionError("started")):
+        with pytest.raises(ValueError, match=r"^n_trials must be <= 2\*\*44"):
+            run_trials(FIVE, reversal_schedule(5), 2 ** 44 + 1, seed=1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 200),
+       blocks=st.lists(st.integers(0, 2 ** 32 - 1), min_size=1, max_size=6))
+@example(seed=0, blocks=[0, 1, 2 ** 32 - 1])
+@example(seed=2 ** 128 - 1, blocks=[7])   # four seed words: the pool is full
+@example(seed=2 ** 128, blocks=[7])       # five: one word mixed in after the pool
+@example(seed=2 ** 200, blocks=[2 ** 32 - 1])
+def test_block_keys_equal_seed_sequence(seed, blocks):
+    want = [np.random.SeedSequence(entropy=seed, spawn_key=(b,)).generate_state(2, np.uint64)
+            for b in blocks]
+    np.testing.assert_array_equal(block_keys(seed, blocks), want)
+
+
 def test_run_trials_takes_numpy_integers():
     schedule = reversal_schedule(5)
     assert_tallies_equal(
@@ -612,7 +638,11 @@ def test_background_candidates_equal_dense_rule():
 
 
 def loop_run_trials(mem, schedule, n_trials, seed, readout, retrieval_scale=None):
-    """Reference engine: the same draws as run_trials, tallied mode by mode."""
+    """Reference engine: the same draws as run_trials, tallied mode by mode.
+
+    Each block's generator is built from its own ``SeedSequence``, not from the
+    keys ``run_trials`` derives, so the reference does not share that code.
+    """
     m = mem.n_modes
     scale = np.ones(m) if retrieval_scale is None else np.asarray(retrieval_scale, float)
     pint_t = mem.p_int(schedule.storage_times)
@@ -622,7 +652,8 @@ def loop_run_trials(mem, schedule, n_trials, seed, readout, retrieval_scale=None
     for b in range(-(-n_trials // BLOCK_SIZE)):
         start = b * BLOCK_SIZE
         size = min(BLOCK_SIZE, n_trials - start)
-        rng = _block_rng(seed, b)
+        ss = np.random.SeedSequence(entropy=seed, spawn_key=(b,))
+        rng = np.random.Generator(np.random.Philox(ss))
         idx = start + np.arange(size)
         spin = rng.random((size, m)) < mem.p
         write = spin & (rng.random((size, m)) < mem.eta_w)
@@ -823,6 +854,99 @@ def test_tally_same_bits_on_one_cpu():
                           capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["1", *pool_digests()]
+
+
+def engine_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("muxmem-engine")]
+
+
+def test_worker_threads_bounded_over_many_calls():
+    # The pool is kept across calls and resized with the CPU count: after a
+    # pool for 8 CPUs and 100 more calls, no thread is left beyond the
+    # usable CPUs less the calling one.  Nine one-mode blocks are 3 passes.
+    mem, schedule = replace(PINNED, n_modes=1), reversal_schedule(1)
+    n_trials = 8 * BLOCK_SIZE + 1
+    baseline = threading.active_count() - len(engine_threads())
+    with mock.patch.object(protocol, "_usable_cpus", lambda: 8):
+        for seed in range(3):
+            run_trials(mem, schedule, n_trials, seed)
+        assert threading.active_count() <= baseline + 7
+    for seed in range(100):
+        run_trials(mem, schedule, n_trials, seed)
+    assert threading.active_count() <= baseline + protocol._usable_cpus() - 1
+    assert len(engine_threads()) <= protocol._usable_cpus() - 1
+
+
+CONCURRENT_JOBS = [(5, FEED_FORWARD), (3, CYCLE), (4, 2), (1, CYCLE)]
+
+
+@pytest.mark.parametrize("callers", [2, 3, 4])
+def test_concurrent_callers_get_serial_tallies(callers):
+    # Callers share the pool, with one-block passes so that every call has
+    # work for four workers.  The CPU count they see changes every four
+    # calls, so a call may replace the pool while others still have work
+    # queued on it.  Each call must get the tally of the same call made
+    # alone, and no replaced pool may keep its threads.
+    jobs = [(replace(PINNED, n_modes=m), reversal_schedule(m), 3 * BLOCK_SIZE + 5, 300 + i, r)
+            for i, (m, r) in enumerate(CONCURRENT_JOBS[:callers])]
+    serial = [loop_run_trials(mem, sch, n, seed, r) for mem, sch, n, seed, r in jobs]
+    results = [[] for _ in jobs]
+    start = threading.Barrier(callers)
+
+    def call(i):
+        mem, sch, n, seed, r = jobs[i]
+        start.wait(timeout=60)
+        for _ in range(8):
+            results[i].append(run_trials(mem, sch, n, seed, readout=r))
+
+    cpus = itertools.cycle([3] * 4 + [4] * 4 + [2] * 4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with mock.patch.object(protocol, "_usable_cpus", lambda: next(cpus)), \
+                mock.patch.object(protocol, "_PASS_BLOCKS", 1):
+            threads = [threading.Thread(target=call, args=(i,)) for i in range(callers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for got, want in zip(results, serial):
+        assert len(got) == 8
+        for tally in got:
+            assert_tallies_equal(tally, want)
+    run_trials(*jobs[0][:4])   # one call at the real CPU count
+    assert len(engine_threads()) <= protocol._usable_cpus() - 1
+
+
+def fork_child(queue):
+    queue.put(tally_field_digests(run_trials(replace(PINNED, n_modes=9),
+                                             reversal_schedule(9), 9 * BLOCK_SIZE, seed=77)))
+
+
+@pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="no os.register_at_fork")
+def test_forked_child_makes_its_own_pool():
+    # A forked child has none of the parent's pool threads; with the
+    # parent's pool it would queue its work forever.
+    with mock.patch.object(protocol, "_usable_cpus", lambda: 2):
+        want = tally_field_digests(run_trials(replace(PINNED, n_modes=9),
+                                              reversal_schedule(9), 9 * BLOCK_SIZE, seed=77))
+        ctx = multiprocessing.get_context("fork")
+        queue = ctx.Queue()
+        with warnings.catch_warnings():  # forking a process that has threads
+            warnings.simplefilter("ignore", DeprecationWarning)
+            child = ctx.Process(target=fork_child, args=(queue,))
+            child.start()
+        try:
+            got = queue.get(timeout=30)
+        finally:
+            child.join(timeout=30)
+            if child.is_alive():
+                child.kill()
+    assert child.exitcode == 0
+    assert got == want
 
 
 @settings(max_examples=6, deadline=None)

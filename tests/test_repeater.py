@@ -1,5 +1,7 @@
 """Link rate and latency arithmetic."""
 
+import math
+
 import pytest
 from scipy.constants import c
 
@@ -80,3 +82,15 @@ def test_validation():
         with pytest.raises(ValueError,
                            match="^herald_time and decision_delay must be >= 0$"):
             LinkParams(100e3, **{field: -1e-6})
+
+
+@pytest.mark.parametrize("call", [
+    lambda: LinkParams(100e3, herald_time=math.nan),
+    lambda: LinkParams(100e3, decision_delay=math.nan),
+    lambda: readout_latency(LINK, FREEZE_RELEASE, math.nan),
+], ids=["herald_time", "decision_delay", "frozen_interval"])
+def test_nan_times_rejected(call):
+    # NaN fails every comparison, so each check is written to accept only
+    # values that pass it.
+    with pytest.raises(ValueError, match="must be >= 0"):
+        call()
