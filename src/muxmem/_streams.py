@@ -2,8 +2,8 @@
 
 :func:`block_keys` derives the key of every block of a call at once, in the
 uint32 arithmetic of numpy's ``SeedSequence`` hash; :func:`rekey` points a
-worker's generator at a block's stream; :func:`start_workers` runs the
-workers other than the caller's on one thread pool per process.
+worker's generator at a block's stream; :func:`run_workers` fans a call's
+tasks out over one worker per usable CPU.
 """
 
 from __future__ import annotations
@@ -55,7 +55,14 @@ def rekey(rng: np.random.Generator, key) -> None:
         "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
 
-# Workers 1 ... W - 1 of every engine call run on one pool of (usable CPUs - 1)
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# Workers 1 ... W - 1 of every call run on one pool of (usable CPUs - 1)
 # threads, made on first use and replaced when the CPU count changes.
 _pool = None            # (threads, ThreadPoolExecutor), or None at one CPU
 _pool_lock = threading.Lock()
@@ -71,13 +78,18 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def start_workers(fn, workers: int, cpus: int) -> list:
-    """Run ``fn(1)``, ..., ``fn(workers - 1)`` on the shared pool; return their futures.
+def run_workers(fn, tasks: int) -> list:
+    """``[fn(range(w, tasks, W)) for w in range(W)]``, W = min(tasks, usable CPUs).
 
-    Every call first sizes the pool to ``cpus`` - 1 threads (no pool at one
-    CPU), so a pool sized for CPUs that went away does not keep its threads.
+    Worker 0 runs on the calling thread; workers 1 ... W - 1 run on the
+    shared pool, so a call starts no thread of its own.  Every call first
+    sizes the pool to the usable CPUs less one (no pool, and no
+    ``concurrent.futures`` import, at one CPU), so a pool sized for CPUs that
+    went away does not keep its threads.  A forked child makes its own pool.
     """
     global _pool
+    cpus = _usable_cpus()
+    workers = min(tasks, cpus)
     old = None
     with _pool_lock:    # no call submits to a pool that another shuts down
         if (_pool[0] if _pool else 0) != cpus - 1:
@@ -85,7 +97,8 @@ def start_workers(fn, workers: int, cpus: int) -> list:
             old, _pool = _pool, None
             if cpus > 1:
                 _pool = (cpus - 1, ThreadPoolExecutor(cpus - 1, "muxmem-engine"))
-        futures = [_pool[1].submit(fn, w) for w in range(1, workers)]
+        futures = [_pool[1].submit(fn, range(w, tasks, workers)) for w in range(1, workers)]
     if old is not None:
         old[1].shutdown()  # its queued work still runs; then its threads exit
-    return futures
+    first = fn(range(0, tasks, workers))
+    return [first] + [future.result() for future in futures]

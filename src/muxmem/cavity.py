@@ -77,7 +77,7 @@ def enhancement_factor(cav: CavityParams) -> float:
 
 def enhancement_from_finesse(f: float) -> float:
     """Emission enhancement 2 F / pi for a given (possibly measured) finesse."""
-    if f <= 0.0:
+    if not f > 0.0:
         raise ValueError("finesse must be positive")
     return 2.0 * f / math.pi
 
@@ -137,6 +137,8 @@ def effective_enhancement(
     (absolute tolerance 1.49e-8, relative 1e-8, at most 400 intervals) and
     with its bits.  If it does not converge, a ``UserWarning`` names why.
     """
+    if not math.isfinite(cavity_detuning):
+        raise ValueError(f"cavity_detuning must be finite, got {cavity_detuning}")
     from ._numerics import qagp
 
     gamma = linewidth(cav)

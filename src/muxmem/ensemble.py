@@ -65,7 +65,7 @@ class AtomEnsemble:
             raise ValueError("positions and velocities must be 1-d arrays of equal length")
         if len(self.positions) < 1:
             raise ValueError("ensemble must contain at least one atom")
-        if self.k_sw < 0.0 or self.zeeman_coeff < 0.0:
+        if not (self.k_sw >= 0.0 and self.zeeman_coeff >= 0.0):  # NaN fails too
             raise ValueError("k_sw and zeeman_coeff must be >= 0")
 
     @property
@@ -89,8 +89,8 @@ def sample_ensemble(
     """
     if _integer("n_atoms", n_atoms) < 1:
         raise ValueError("n_atoms must be >= 1")
-    if cloud_sigma < 0.0 or temperature < 0.0:
-        raise ValueError("cloud_sigma and temperature must be >= 0")
+    if not (0.0 <= cloud_sigma < math.inf and 0.0 <= temperature < math.inf):
+        raise ValueError("cloud_sigma and temperature must be finite and >= 0")
     rng = np.random.default_rng(_integer("seed", seed))
     z = rng.normal(0.0, cloud_sigma, size=n_atoms) if cloud_sigma > 0 else np.zeros(n_atoms)
     sigma_v = math.sqrt(_KB * temperature / ATOM_MASS)
@@ -118,6 +118,8 @@ class FieldTimeline:
         segs = tuple((float(t), float(g)) for t, g in self.segments)
         if not segs:
             raise ValueError("timeline needs at least one segment")
+        if not (np.isfinite(segs).all() and math.isfinite(self.drift_rate)):
+            raise ValueError("segment start times, gradients and drift_rate must be finite")
         starts = [t for t, _ in segs]
         if any(b <= a for a, b in zip(starts, starts[1:])):
             raise ValueError("segment start times must be strictly increasing")
@@ -127,7 +129,7 @@ class FieldTimeline:
     def reversal(cls, gradient: float, reverse_time: float, bias: float = 0.0,
                  drift_rate: float = 0.0) -> "FieldTimeline":
         """+gradient from time 0, -gradient from reverse_time on."""
-        if reverse_time <= 0.0:
+        if not reverse_time > 0.0:
             raise ValueError("reverse_time must be > 0")
         return cls(((0.0, gradient), (reverse_time, -gradient)), bias, drift_rate)
 
@@ -190,8 +192,8 @@ def collective_efficiency(
     ``np.abs(np.exp(1j * phi).mean(axis=0)) ** 2`` on a one-time
     grid (a scalar ``** 2`` can round differently from the array square).
     """
-    if time < write_time:
-        raise ValueError("time must be >= write_time")
+    if not -math.inf < write_time <= time < math.inf:
+        raise ValueError("need finite times with time >= write_time")
     a, q = _phase_coefficients(timeline, write_time, np.array([time], dtype=float))
     zc = ens.zeeman_coeff
     b = ens.k_sw * (time - write_time) + zc * q[0]
@@ -343,6 +345,8 @@ def rephasing_time(timeline: FieldTimeline, write_time: float) -> float:
     write in a freeze gets the release); a weak or zero gradient that never reverses
     still raises.  Raises :class:`NoRephasingError` if no crossing precedes the horizon.
     """
+    if not math.isfinite(write_time):
+        raise ValueError("write_time must be finite")
     t_end = write_time + REPHASING_HORIZON
     d = timeline.drift_rate
     knots = {start for start, _ in timeline.segments if write_time < start < t_end}

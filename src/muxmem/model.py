@@ -100,7 +100,7 @@ class MemoryParams:
         Accepts a scalar or array; negative times are rejected.
         """
         t = np.asarray(storage_time, dtype=float)
-        if (t < 0.0).any():
+        if not (t >= 0.0).all():  # NaN fails too
             raise ValueError("storage_time must be >= 0")
         x = t / self.tau_mem
         if self.decay_shape == "gaussian":
@@ -220,7 +220,7 @@ def max_modes(params: MemoryParams, threshold: float) -> float | int:
     vanishes and the single-mode correlation clears the threshold.  Raises
     ValueError where :func:`cross_correlation` does (p_int0 = 0 with xi_eg = 0).
     """
-    if threshold <= 1.0:
+    if not threshold > 1.0:
         raise ValueError("threshold must exceed 1 (the classical floor)")
     if params.p == 0.0:
         raise ValueError("max_modes is undefined at p = 0")

@@ -11,39 +11,19 @@ Readout times come from a gradient timeline alone (:func:`build_schedule`).
 drifting applied field it scales each mode's retrieval by the echo contrast
 at its programmed readout.
 
-Trials are partitioned into fixed-size blocks, each driven by its own Philox
-stream under the key ``SeedSequence(entropy=seed, spawn_key=(b,))`` gives
-block b; one vectorized pass per call derives every block's key
-(:func:`muxmem._streams.block_keys`).  Up to four consecutive blocks form a
-pass (fewer above eight modes, one from 17 modes, :func:`_pass_blocks`):
-each block draws from its own stream into its own rows of the pass arrays,
-then the pass is tallied with one set of numpy calls, and each block's
-splitter draws cover its own trials.  In the tally the write clicks are
-listed once, read modes are slices of a pattern built once per call, each
-family of counts is one ``np.bincount`` over a key that adds flags to the
-read mode or (herald mode, read mode) cell, and only trials whose uniform
-can give a photon take the background logarithm.  Cycled and fixed readouts
-read in every trial, so they skip the gathers and set the read counts, which
-no draw changes, once per call.  Worker w of W (one per usable CPU, at most
-one per pass) takes passes w, w + W, ... into its own tally, re-keying one
-of its per-pass generator slots for each block; worker 0 runs on the calling
-thread, the others on one thread pool per process
-(:func:`muxmem._streams.start_workers`).  The Bernoulli draws compare raw
-Philox words with exact integer bounds, bit for bit ``random() < q``
-(:func:`_draw_below`).  The worker tallies are added field by field: integer
-addition is exact and order-free, so every count has the same bits on any
-CPU count.
+:func:`run_trials` states the engine's contract: blocks, streams, passes,
+and why no bit depends on the CPU count.  :func:`muxmem._streams.run_workers`
+spreads the passes over the CPUs.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from ._streams import block_keys, rekey, start_workers
+from ._streams import block_keys, rekey, run_workers
 from .ensemble import FieldTimeline, collective_efficiency, rephasing_time
 from .model import MemoryParams, _integer, noise_given_write
 
@@ -72,13 +52,6 @@ FEED_FORWARD = "feed_forward"
 CYCLE = "cycle"
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity set, else the machine's count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 @dataclass(frozen=True, eq=False)
 class ModeSchedule:
     """Write and readout timing for one train of temporal modes.
@@ -97,6 +70,8 @@ class ModeSchedule:
         r = np.asarray(self.readout_times, dtype=float)
         if w.ndim != 1 or w.shape != r.shape or w.size == 0:
             raise ValueError("need equal-length, non-empty 1-d write and readout times")
+        if not (np.isfinite(w).all() and np.isfinite(r).all()):
+            raise ValueError("write and readout times must be finite")
         if np.any(r <= w):
             raise ValueError("each readout must come after its write")
         object.__setattr__(self, "write_times", w)
@@ -228,20 +203,27 @@ def run_trials(
     ``readout`` is :data:`FEED_FORWARD` (read the first heralded mode; odd
     trials instead run a fixed-mode pass cycling through the modes to normalize
     the statistics), :data:`CYCLE` (every trial a fixed-mode pass, cycling
-    through the modes) or a mode index read in every trial; for these two the
-    read counts, which no draw changes, are set once.  ``retrieval_scale``
+    through the modes) or a mode index read in every trial.  ``retrieval_scale``
     optionally multiplies the decayed intrinsic retrieval per mode (external
-    rephasing deficits); the background mean is ``model.noise_given_write``,
-    drawn only where it can be nonzero.  ``seed`` is an integer under the rule
-    for counts.  Deterministic for fixed (seed, n_trials): every block draws
-    from its own Philox stream into its own rows, whichever pass tallies it;
-    passes run on one thread per usable CPU, the caller's among them, and
-    worker tallies add as integers, so no bit depends on the pass layout or
-    the CPU count.  Block b's key is ``SeedSequence(entropy=seed,
-    spawn_key=(b,))``'s, all keys derived in one vectorized pass per call;
-    each worker re-keys one of its per-pass generator slots for each block,
-    and workers other than the caller's run on one persistent thread pool.
-    ``n_trials`` is at most 2**44, so block indices stay below 2**32.
+    rephasing deficits); the background mean is ``model.noise_given_write``.
+    ``seed`` is an integer under the rule for counts; ``n_trials`` is at most
+    2**44, so block indices stay below 2**32.
+
+    Deterministic for fixed (seed, n_trials), with the same bits on any CPU
+    count.  Trials run in blocks of ``BLOCK_SIZE``.  Block b draws from the
+    Philox stream keyed by ``SeedSequence(entropy=seed, spawn_key=(b,))``,
+    all keys from one vectorized pass per call (:func:`_streams.block_keys`).
+    Up to four consecutive blocks form a pass (:func:`_pass_blocks`): each
+    block draws its Bernoulli words (:func:`_draw_below`), uniforms and
+    splitter binomials from its own stream into its own rows, then the pass
+    is tallied with one set of numpy calls, so no bit depends on the pass
+    layout.  Passes fan out over the usable CPUs (:func:`_streams.run_workers`),
+    each worker into its own tally, and the tallies add as integers, exact in
+    any order.  The unconditional reads, which no draw changes, are set once
+    per call for every readout: the k-th unconditional read reads mode
+    k mod M (or the fixed mode), k counting the odd trials under feed-forward
+    and every trial otherwise.  ``n_reads`` adds them to the heralded reads
+    that the passes count.
     """
     m = mem.n_modes
     if schedule.n_modes != m:
@@ -363,13 +345,10 @@ def run_trials(
         ph_c = n_photons[ct]
         pairs = count(key, ph_c, m * m).reshape(m, m)
         if readout == FEED_FORWARD:
-            us = odd[rt]
-            reads = count(r + m * us, n=2 * m).reshape(2, m)
-            tally.n_reads += reads[0] + reads[1]
-            tally.n_uncond_reads += reads[1]
-            tally.unconditional_read_counts += count(r, ph * us)
+            tally.n_reads += count(click_m[ff])    # heralded reads
+            tally.unconditional_read_counts += count(r, ph * odd[rt])
             tally.uncond_coincidence_counts += count(key, ph_c * odd[ct], m * m).reshape(m, m)
-        else:  # the fields that the draws cannot change are set once per call
+        else:  # every read is unconditional: its pairs are set once per call
             tally.unconditional_read_counts += count(r[lit], ph[lit])
         tally.coincidence_counts += pairs
         lit_cells = count(key + m * m * (ph_c > 0), n=2 * m * m).reshape(2, m, m)
@@ -386,31 +365,29 @@ def run_trials(
         tally.split_b += arms[2] + arms[3]
         tally.split_ab += arms[3]
 
-    # Worker w runs passes w, w + W, ... into its own tally: a shared tally
-    # would race, since += on a large array can release the GIL partway.
-    cpus = _usable_cpus()
-    workers = min(n_passes, cpus)
-
-    def run_worker(w: int) -> CountsTally:
+    # Each worker runs its passes into its own tally: a shared tally would
+    # race, since += on a large array can release the GIL partway.
+    def run_worker(passes) -> CountsTally:
         tally = CountsTally.zeros(m)
         spin = np.empty((rows, m), dtype=bool)
         write = np.empty_like(spin)
         u = np.empty((2, rows))
         slots = [np.random.Generator(np.random.Philox(0)) for _ in range(per_pass)]
-        for p in range(w, n_passes, workers):
+        for p in passes:
             run_pass(p, tally, spin, write, u, slots)
         return tally
 
-    rest = start_workers(run_worker, workers, cpus)
-    total = run_worker(0)  # worker 0 runs on the calling thread
-    for future in rest:
-        part = future.result()
+    total, *rest = run_workers(run_worker, n_passes)
+    for part in rest:
         total.n_trials += part.n_trials
         for f in fields(CountsTally)[2:]:
             getattr(total, f.name)[...] += getattr(part, f.name)
-    if readout != FEED_FORWARD:  # trial t reads pattern[t % m]
-        total.n_reads[:] = count(pattern[:n_trials % m]) + n_trials // m * count(pattern[:m])
-        total.n_uncond_reads[:] = total.n_reads
+    # Unconditional read k reads pattern[k % m]: feed-forward odd trial 2k + 1,
+    # cycled or fixed trial k.
+    k = n_trials // 2 if readout == FEED_FORWARD else n_trials
+    total.n_uncond_reads[:] = count(pattern[:k % m]) + k // m * count(pattern[:m])
+    total.n_reads += total.n_uncond_reads
+    if readout != FEED_FORWARD:
         total.uncond_coincidence_counts[:] = total.coincidence_counts
     return total
 

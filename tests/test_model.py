@@ -6,8 +6,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from muxmem.cavity import PulseSpec
-from muxmem.ensemble import FieldTimeline, echo_profiles, sample_ensemble
+from muxmem.cavity import CavityParams, PulseSpec, effective_enhancement, enhancement_from_finesse
+from muxmem.ensemble import (
+    AtomEnsemble,
+    FieldTimeline,
+    collective_efficiency,
+    echo_profiles,
+    rephasing_time,
+    sample_ensemble,
+)
 from muxmem.model import (
     UNBOUNDED,
     MemoryParams,
@@ -22,6 +29,7 @@ from muxmem.model import (
     write_prob,
 )
 from muxmem.protocol import (
+    ModeSchedule,
     build_schedule,
     coincidence_scaling,
     crosstalk_matrix,
@@ -273,6 +281,57 @@ def test_g2_vs_storage_rejects_negative_time():
     # The check is p_int's, reached through cross_correlation.
     with pytest.raises(ValueError, match="^storage_time must be >= 0$"):
         g2_vs_storage(BASE, [0.0, -1e-9])
+
+
+NAN, INF = math.nan, math.inf
+REVERSAL = FieldTimeline.reversal(2.0, 1e-6)
+FINITE_AND_NONNEGATIVE = "^cloud_sigma and temperature must be finite and >= 0$"
+FINITE_TIMELINE = "^segment start times, gradients and drift_rate must be finite$"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: sample_ensemble(10, NAN, 40e-6, 1), FINITE_AND_NONNEGATIVE),
+    (lambda: sample_ensemble(10, INF, 40e-6, 1), FINITE_AND_NONNEGATIVE),
+    (lambda: sample_ensemble(10, 1e-3, NAN, 1), FINITE_AND_NONNEGATIVE),
+    (lambda: sample_ensemble(10, 1e-3, INF, 1), FINITE_AND_NONNEGATIVE),
+    (lambda: ModeSchedule([0.0, 1e-6], [NAN, 3e-6]), "^write and readout times must be finite$"),
+    (lambda: ModeSchedule([0.0, NAN], [2e-6, 3e-6]), "^write and readout times must be finite$"),
+    (lambda: ModeSchedule([0.0, 1e-6], [INF, 3e-6]), "^write and readout times must be finite$"),
+    (lambda: BASE.p_int(NAN), "^storage_time must be >= 0$"),
+    (lambda: BASE.p_int(np.array([0.0, NAN])), "^storage_time must be >= 0$"),
+    (lambda: FieldTimeline.reversal(2.0, NAN), "^reverse_time must be > 0$"),
+    (lambda: FieldTimeline(((0.0, 2.0), (NAN, -2.0))), FINITE_TIMELINE),
+    (lambda: FieldTimeline(((0.0, NAN),)), FINITE_TIMELINE),
+    (lambda: FieldTimeline(((0.0, INF),)), FINITE_TIMELINE),
+    (lambda: FieldTimeline.reversal(2.0, 1e-6, drift_rate=NAN), FINITE_TIMELINE),
+    (lambda: AtomEnsemble(np.zeros(3), np.zeros(3), k_sw=NAN),
+     "^k_sw and zeeman_coeff must be >= 0$"),
+    (lambda: AtomEnsemble(np.zeros(3), np.zeros(3), zeeman_coeff=NAN),
+     "^k_sw and zeeman_coeff must be >= 0$"),
+    (lambda: collective_efficiency(AtomEnsemble(np.zeros(3), np.zeros(3)), REVERSAL, 0.0, NAN),
+     "^need finite times with time >= write_time$"),
+    (lambda: collective_efficiency(AtomEnsemble(np.zeros(3), np.zeros(3)), REVERSAL, 0.0, INF),
+     "^need finite times with time >= write_time$"),
+    (lambda: enhancement_from_finesse(NAN), "^finesse must be positive$"),
+    (lambda: effective_enhancement(CavityParams(0.1, 0.01), PulseSpec(266e-9), NAN),
+     "^cavity_detuning must be finite, got nan$"),
+    (lambda: effective_enhancement(CavityParams(0.1, 0.01), PulseSpec(266e-9), INF),
+     "^cavity_detuning must be finite, got inf$"),
+    (lambda: max_modes(BASE, NAN), r"^threshold must exceed 1 \(the classical floor\)$"),
+    (lambda: rephasing_time(REVERSAL, NAN), "^write_time must be finite$"),
+], ids=["cloud_sigma-nan", "cloud_sigma-inf", "temperature-nan", "temperature-inf",
+        "readout-nan", "write-nan", "readout-inf", "p_int-nan", "p_int-array-nan",
+        "reverse_time-nan", "segment-start-nan", "gradient-nan", "gradient-inf",
+        "drift_rate-nan", "k_sw-nan", "zeeman_coeff-nan", "echo-time-nan", "echo-time-inf",
+        "finesse-nan", "detuning-nan", "detuning-inf", "threshold-nan", "rephasing-nan"])
+def test_entry_points_reject_nan_and_infinity(call, message):
+    # NaN fails every comparison, so each check is written to accept only
+    # values that pass it; a value without a bound is checked for finiteness.
+    # Each returned a silently wrong value, or failed with the wrong error
+    # (a NaN write time raised NoRephasingError), before it was checked.
+    with pytest.raises(ValueError, match=message) as exc:
+        call()
+    assert type(exc.value) is ValueError
 
 
 @pytest.mark.parametrize("params, n, below, expected", [

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from muxmem import protocol
+from muxmem import _streams, protocol
 from muxmem._streams import block_keys
 from muxmem.ensemble import FieldTimeline, collective_efficiency, sample_ensemble
 from muxmem.model import MemoryParams, cross_correlation, retrieval_given_write, write_prob
@@ -398,7 +398,7 @@ def test_trial_count_bounded_before_any_draw():
     # Block keys take block indices below 2**32, so at most 2**44 trials;
     # a larger count fails before any key, array or thread is made.
     with mock.patch.object(protocol, "block_keys", side_effect=AssertionError("drew")), \
-            mock.patch.object(protocol, "start_workers", side_effect=AssertionError("started")):
+            mock.patch.object(protocol, "run_workers", side_effect=AssertionError("started")):
         with pytest.raises(ValueError, match=r"^n_trials must be <= 2\*\*44"):
             run_trials(FIVE, reversal_schedule(5), 2 ** 44 + 1, seed=1)
 
@@ -788,7 +788,7 @@ def test_pass_layouts_change_no_bit(per_pass, cpus, readout, variant):
     # own rows, so every layout gives the same bits.
     with mock.patch.object(protocol, "_PASS_BLOCKS", per_pass), \
             mock.patch.object(protocol, "_PASS_CELLS", per_pass * BLOCK_SIZE * 6), \
-            mock.patch.object(protocol, "_usable_cpus", lambda: cpus):
+            mock.patch.object(_streams, "_usable_cpus", lambda: cpus):
         assert protocol._pass_blocks(6) == per_pass
         got = run_trials(LAYOUT_MEMS[variant], reversal_schedule(6), LAYOUT_TRIALS, 2021,
                          readout=readout)
@@ -809,7 +809,7 @@ def test_tally_same_bits_on_any_cpu_count(cpus, n_trials):
     # CPUs than blocks on any machine.
     mem = replace(PINNED, n_modes=9)
     schedule = reversal_schedule(9)
-    with mock.patch.object(protocol, "_usable_cpus", lambda: cpus):
+    with mock.patch.object(_streams, "_usable_cpus", lambda: cpus):
         got = run_trials(mem, schedule, n_trials, seed=77)
     assert_tallies_equal(got, loop_run_trials(mem, schedule, n_trials, 77, FEED_FORWARD))
 
@@ -823,7 +823,7 @@ def test_unconditional_reads_same_bits_on_any_cpu_count(readout, cpus, n_trials)
     # added; at one trial, eight of the nine modes are never read.
     mem = replace(PINNED, n_modes=9)
     schedule = reversal_schedule(9)
-    with mock.patch.object(protocol, "_usable_cpus", lambda: cpus):
+    with mock.patch.object(_streams, "_usable_cpus", lambda: cpus):
         got = run_trials(mem, schedule, n_trials, seed=77, readout=readout)
     assert_tallies_equal(got, loop_run_trials(mem, schedule, n_trials, 77, readout))
 
@@ -856,6 +856,34 @@ def test_tally_same_bits_on_one_cpu():
     assert proc.stdout.splitlines() == ["1", *pool_digests()]
 
 
+# The child pins itself to one CPU, then lists the lazily imported modules
+# loaded after ``import muxmem`` and after a one-worker call of four passes.
+LAZY_IMPORTS_CHILD = """
+import os, sys
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+lazy = ("concurrent.futures", "logging", "muxmem._numerics")
+import muxmem
+print([name for name in lazy if name in sys.modules])
+mem = muxmem.MemoryParams(0.045, 0.3, 0.25, 0.4, 14.0, n_modes=3)
+timeline = muxmem.FieldTimeline.reversal(2.0, 2.0e-6)
+muxmem.run_trials(mem, muxmem.build_schedule(3, 800e-9, 266e-9, timeline), 16 * 4096 - 5, 1)
+print([name for name in lazy if name in sys.modules])
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="os.sched_setaffinity is not available")
+def test_one_worker_call_imports_no_thread_pool():
+    # ``concurrent.futures`` loads ``logging``, and ``_numerics`` is cavity's
+    # alone: ``import muxmem`` loads neither, and on one CPU the engine makes
+    # no pool, so a call imports no ``concurrent.futures`` either.  Set-up
+    # time and peak memory depend on it.
+    proc = subprocess.run([sys.executable, "-c", LAZY_IMPORTS_CHILD],
+                          capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "[]"]
+
+
 def engine_threads():
     return [t for t in threading.enumerate() if t.name.startswith("muxmem-engine")]
 
@@ -867,14 +895,14 @@ def test_worker_threads_bounded_over_many_calls():
     mem, schedule = replace(PINNED, n_modes=1), reversal_schedule(1)
     n_trials = 8 * BLOCK_SIZE + 1
     baseline = threading.active_count() - len(engine_threads())
-    with mock.patch.object(protocol, "_usable_cpus", lambda: 8):
+    with mock.patch.object(_streams, "_usable_cpus", lambda: 8):
         for seed in range(3):
             run_trials(mem, schedule, n_trials, seed)
         assert threading.active_count() <= baseline + 7
     for seed in range(100):
         run_trials(mem, schedule, n_trials, seed)
-    assert threading.active_count() <= baseline + protocol._usable_cpus() - 1
-    assert len(engine_threads()) <= protocol._usable_cpus() - 1
+    assert threading.active_count() <= baseline + _streams._usable_cpus() - 1
+    assert len(engine_threads()) <= _streams._usable_cpus() - 1
 
 
 CONCURRENT_JOBS = [(5, FEED_FORWARD), (3, CYCLE), (4, 2), (1, CYCLE)]
@@ -903,7 +931,7 @@ def test_concurrent_callers_get_serial_tallies(callers):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        with mock.patch.object(protocol, "_usable_cpus", lambda: next(cpus)), \
+        with mock.patch.object(_streams, "_usable_cpus", lambda: next(cpus)), \
                 mock.patch.object(protocol, "_PASS_BLOCKS", 1):
             threads = [threading.Thread(target=call, args=(i,)) for i in range(callers)]
             for t in threads:
@@ -918,7 +946,7 @@ def test_concurrent_callers_get_serial_tallies(callers):
         for tally in got:
             assert_tallies_equal(tally, want)
     run_trials(*jobs[0][:4])   # one call at the real CPU count
-    assert len(engine_threads()) <= protocol._usable_cpus() - 1
+    assert len(engine_threads()) <= _streams._usable_cpus() - 1
 
 
 def fork_child(queue):
@@ -930,7 +958,7 @@ def fork_child(queue):
 def test_forked_child_makes_its_own_pool():
     # A forked child has none of the parent's pool threads; with the
     # parent's pool it would queue its work forever.
-    with mock.patch.object(protocol, "_usable_cpus", lambda: 2):
+    with mock.patch.object(_streams, "_usable_cpus", lambda: 2):
         want = tally_field_digests(run_trials(replace(PINNED, n_modes=9),
                                               reversal_schedule(9), 9 * BLOCK_SIZE, seed=77))
         ctx = multiprocessing.get_context("fork")
@@ -964,6 +992,6 @@ def test_chunked_draws_equal_loop_reference(m, n_trials, seed, readout, cpus, da
         readout = data.draw(st.integers(0, m - 1))
     mem = replace(PINNED, n_modes=m)
     schedule = reversal_schedule(m)
-    with mock.patch.object(protocol, "_usable_cpus", lambda: cpus):
+    with mock.patch.object(_streams, "_usable_cpus", lambda: cpus):
         got = run_trials(mem, schedule, n_trials, seed, readout=readout)
     assert_tallies_equal(got, loop_run_trials(mem, schedule, n_trials, seed, readout))
