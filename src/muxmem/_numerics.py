@@ -1,35 +1,31 @@
-"""Pure-Python ports of the two numerical routines behind ``cavity``.
+"""Pure-Python numerical routines behind ``cavity``, imported on first use.
 
-Each performs the published algorithm's floating-point operations in
-their order, or, where a comment says so, operations with provably the
-same result, so it returns the same bits as the scipy routine it replaces;
-the tests compare them with ``==``.  ``cavity`` imports this module on
-first use, so ``import muxmem`` does not pay for it.
-
-:func:`qagp` is QUADPACK's adaptive integrator with break points,
-``dqagpe``, with its 21-point Gauss–Kronrod rule ``dqk21``, the error-list
-sort ``dqpsrt`` and the epsilon-algorithm extrapolation ``dqelg``
-(Piessens, de Doncker-Kapenga, Überhuber and Kahaner, *QUADPACK*, Springer
-1983), as run by ``scipy.integrate.quad``.  Its lists keep QUADPACK's
-1-based indices; slot 0 is unused.  The integrand, the Gaussian pulse
-spectrum over the shifted Lorentzian,
+:func:`qagp` integrates with break points.  Its first pass is QUADPACK's
+``dqagpe`` with the 21-point Gauss–Kronrod rule ``dqk21`` (Piessens,
+de Doncker-Kapenga, Überhuber and Kahaner, *QUADPACK*, Springer 1983),
+their floating-point operations in their order, or, where a comment says
+so, operations with provably the same result: a call that stops there, as
+every overlap at the scenarios' default and golden configs does, returns
+``scipy.integrate.quad``'s bits.  Beyond it, it bisects the interval of
+largest error without QUADPACK's extrapolation.  The integrand, the
+Gaussian pulse spectrum over the shifted Lorentzian,
 
     norm * exp(-x * x / two_var) / (1 + ((x - delta) / half_gamma) ** 2),
 
 is written out inside :func:`_qk21`, so no function is called per point.
 
-:func:`bounded_minimum` is Brent's bounded minimizer, as run by
-``scipy.optimize.minimize_scalar(method="bounded")``.
+:func:`bounded_minimum` is Brent's bounded minimizer, step for step and
+bit for bit as ``scipy.optimize.minimize_scalar(method="bounded")``.
 """
 
 from __future__ import annotations
 
 import warnings
-from math import exp, sqrt
+from heapq import heapify, heappush, heapreplace
+from math import exp, fsum, sqrt
 
 _EPMACH = 2.220446049250313e-16      # d1mach(4), the spacing of doubles at 1
 _UFLOW = 2.2250738585072014e-308     # d1mach(1), the smallest normal double
-_OFLOW = 1.7976931348623157e308      # d1mach(2), the largest double
 
 # dqk21's Kronrod abscissae and weights, 1-based as in QUADPACK: the even
 # points are the 10-point Gauss rule's, with weights WG2 ... WG10.
@@ -56,9 +52,6 @@ _ABSCISSAE = (XGK2, XGK4, XGK6, XGK8, XGK10, XGK1, XGK3, XGK5, XGK7, XGK9)
 _IER_MESSAGES = {
     1: "the maximum number of subdivisions was reached",
     2: "roundoff error prevents the requested tolerance",
-    3: "the integrand behaves extremely badly at some points of the interval",
-    4: "the extrapolation does not converge because of roundoff",
-    5: "the integral is probably divergent or slowly convergent",
 }
 
 
@@ -106,366 +99,72 @@ def _qk21(a, b, norm, two_var, delta, half_gamma):
     return result, abserr, resasc
 
 
-def _qpsrt(limit, last, maxerr, elist, iord, nrmax):
-    """dqpsrt: keep ``iord`` in descending error order; return (maxerr, errmax, nrmax)."""
-    if last <= 2:
-        iord[1] = 1
-        iord[2] = 2
-    else:
-        errmax = elist[maxerr]
-        for _ in range(nrmax - 1):
-            isucc = iord[nrmax - 1]
-            if errmax <= elist[isucc]:
-                break
-            iord[nrmax] = isucc
-            nrmax -= 1
-        jupbn = last
-        if last > limit // 2 + 2:
-            jupbn = limit + 3 - last
-        errmin = elist[last]
-        jbnd = jupbn - 1
-        for i in range(nrmax + 1, jbnd + 1):
-            isucc = iord[i]
-            if errmax >= elist[isucc]:
-                iord[i - 1] = maxerr
-                k = jbnd
-                for _ in range(i, jbnd + 1):
-                    isucc = iord[k]
-                    if errmin < elist[isucc]:
-                        iord[k + 1] = last
-                        break
-                    iord[k + 1] = isucc
-                    k -= 1
-                else:
-                    iord[i] = last
-                break
-            iord[i - 1] = isucc
-        else:
-            iord[jbnd] = maxerr
-            iord[jupbn] = last
-    maxerr = iord[nrmax]
-    return maxerr, elist[maxerr], nrmax
-
-
-def _qelg(n, epstab, res3la, nres):
-    """dqelg: one epsilon-algorithm step on epstab[1..n]; return (n, nres, result, abserr)."""
-    nres += 1
-    abserr = _OFLOW
-    result = epstab[n]
-    if n >= 3:
-        limexp = 50
-        epstab[n + 2] = epstab[n]
-        newelm = (n - 1) // 2
-        epstab[n] = _OFLOW
-        num = n
-        k1 = n
-        converged = False
-        for i in range(1, newelm + 1):
-            k2 = k1 - 1
-            k3 = k1 - 2
-            res = epstab[k1 + 2]
-            e0 = epstab[k3]
-            e1 = epstab[k2]
-            e2 = res
-            e1abs = abs(e1)
-            delta2 = e2 - e1
-            err2 = abs(delta2)
-            tol2 = max(abs(e2), e1abs) * _EPMACH
-            delta3 = e1 - e0
-            err3 = abs(delta3)
-            tol3 = max(e1abs, abs(e0)) * _EPMACH
-            if not (err2 > tol2 or err3 > tol3):
-                # e0, e1 and e2 agree to machine accuracy.
-                result = res
-                abserr = err2 + err3
-                converged = True
-                break
-            e3 = epstab[k1]
-            epstab[k1] = e1
-            delta1 = e1 - e3
-            err1 = abs(delta1)
-            tol1 = max(e1abs, abs(e3)) * _EPMACH
-            if err1 <= tol1 or err2 <= tol2 or err3 <= tol3:
-                n = i + i - 1
-                break
-            ss = 1.0 / delta1 + 1.0 / delta2 - 1.0 / delta3
-            epsinf = abs(ss * e1)
-            if not epsinf > 1e-4:
-                n = i + i - 1
-                break
-            res = e1 + 1.0 / ss
-            epstab[k1] = res
-            k1 = k1 - 2
-            error = err2 + abs(res - e2) + err3
-            if error > abserr:
-                continue
-            abserr = error
-            result = res
-        if not converged:
-            if n == limexp:
-                n = 2 * (limexp // 2) - 1
-            ib = 2 if num % 2 == 0 else 1
-            for _ in range(newelm + 1):
-                epstab[ib] = epstab[ib + 2]
-                ib += 2
-            if num != n:
-                indx = num - n + 1
-                for i in range(1, n + 1):
-                    epstab[i] = epstab[indx]
-                    indx += 1
-            if nres < 4:
-                res3la[nres] = result
-                abserr = _OFLOW
-            else:
-                abserr = (abs(result - res3la[3]) + abs(result - res3la[2])
-                          + abs(result - res3la[1]))
-                res3la[1] = res3la[2]
-                res3la[2] = res3la[3]
-                res3la[3] = result
-    abserr = max(abserr, 5.0 * _EPMACH * abs(result))
-    return n, nres, result, abserr
-
-
 def qagp(coef, a, b, points, epsabs, epsrel, limit):
-    """dqagpe: integral of the overlap integrand over [a, b], with break points.
+    """Integral of the overlap integrand over [a, b], with break points.
 
     ``coef`` is (norm, two_var, delta, half_gamma).  ``points`` must be
     sorted, unique and strictly inside (a, b), with a < b and
     len(points) + 2 <= limit, as ``scipy.integrate.quad`` leaves them; they
-    are not checked.  ``norm`` must be positive, so the integrand is never
-    negative: dqagpe's integral of |f| is then the integral of f bit for
-    bit, and its divergence test for an integrand of changing sign never
-    applies, so neither is computed.  Returns the estimate.  When
-    QUADPACK's error code is 1 to 5 the estimate is returned with a
-    ``UserWarning`` naming the condition, as ``quad`` does.
+    are not checked.  ``norm`` must be positive, so the integrand and every
+    area are never negative.
+
+    The first pass is dqagpe's, bit for bit: the 21-point rule on each
+    break-point interval, the sums, and the stops (converged, or roundoff).
+    Beyond it, the interval of largest error is bisected until the summed
+    error is at most max(epsabs, epsrel * area), and the correctly rounded
+    sum of the areas is returned.  If instead the summed error falls to
+    100 eps * area or an interval is too short to split (roundoff), or
+    ``limit`` intervals are reached, that estimate comes with a
+    ``UserWarning`` naming the condition.
     """
     norm, two_var, delta, half_gamma = coef
-    npts = len(points)
-    npts2 = npts + 2
-    nint = npts + 1
-    pts = [0.0, a, *points, b]
-    # Interval lists, grown by one slot per bisection: slot ``last`` is
-    # appended where dqagpe first writes it.
-    alist = [0.0]
-    blist = [0.0]
-    rlist = [0.0]
-    elist = [0.0]
-    iord = [0]
-    level = [0] * (nint + 1)
-    ier = 0
-
-    # First integral and error approximations, one per break-point interval.
+    pts = [a, *points, b]
     result = 0.0
     abserr = 0.0
-    flat = []
-    a1 = pts[1]
-    for i in range(1, nint + 1):
-        b1 = pts[i + 1]
+    first = []
+    for a1, b1 in zip(pts, pts[1:]):
         area1, error1, resa = _qk21(a1, b1, norm, two_var, delta, half_gamma)
         abserr = abserr + error1
         result = result + area1
-        flat.append(error1 == resa and error1 != 0.0)
-        elist.append(error1)
-        alist.append(a1)
-        blist.append(b1)
-        rlist.append(area1)
-        iord.append(i)
-        a1 = b1
-    errsum = 0.0
-    for i in range(1, nint + 1):
-        if flat[i - 1]:
-            elist[i] = abserr
-        errsum = errsum + elist[i]
-
-    last = nint
+        first.append((a1, b1, area1, error1, error1 == resa and error1 != 0.0))
     errbnd = max(epsabs, epsrel * result)
-    if abserr <= 100.0 * _EPMACH * result and abserr > errbnd:
-        ier = 2
-    if nint != 1:
-        for i in range(1, npts + 1):
-            ind1 = iord[i]
-            k = i
-            for j in range(i + 1, nint + 1):
-                ind2 = iord[j]
-                if elist[ind1] > elist[ind2]:
-                    continue
-                ind1 = ind2
-                k = j
-            if ind1 != iord[i]:
-                iord[k] = iord[i]
-                iord[i] = ind1
-        if limit < npts2:
-            ier = 1
-    if ier != 0 or abserr <= errbnd:
-        return _finish(result, ier)
+    if abserr <= errbnd:
+        return result
+    if abserr <= 100.0 * _EPMACH * result:
+        return _warned(result, 2)
 
-    rlist2 = [0.0] * 53
-    res3la = [0.0] * 4
-    rlist2[1] = result
-    maxerr = iord[1]
-    errmax = elist[maxerr]
+    # dqagpe puts forward the bisection of an interval whose error estimate
+    # is saturated at resasc by charging it with the whole first-pass error.
+    # Heap entries are (-error, a, b, area).
+    heap = [(-abserr if flat else -error1, a1, b1, area1)
+            for a1, b1, area1, error1, flat in first]
+    heapify(heap)
+    errsum = -fsum(entry[0] for entry in heap)
     area = result
-    nrmax = 1
-    nres = 0
-    numrl2 = 1
-    ktmin = 0
-    extrap = False
-    noext = False
-    erlarg = errsum
-    ertest = errbnd
-    levmax = 1
-    iroff1 = iroff2 = iroff3 = 0
-    ierro = 0
-    correc = 0.0
-    abserr = _OFLOW
-
-    # Main loop: bisect the interval with the nrmax-th largest error.
-    for last in range(npts2, limit + 1):
-        levcur = level[maxerr] + 1
-        a1 = alist[maxerr]
-        b1 = 0.5 * (alist[maxerr] + blist[maxerr])
-        a2 = b1
-        b2 = blist[maxerr]
-        erlast = errmax
-        area1, error1, defab1 = _qk21(a1, b1, norm, two_var, delta, half_gamma)
-        area2, error2, defab2 = _qk21(a2, b2, norm, two_var, delta, half_gamma)
-        area12 = area1 + area2
-        erro12 = error1 + error2
-        errsum = errsum + erro12 - errmax
-        area = area + area12 - rlist[maxerr]
-        if defab1 != error1 and defab2 != error2:
-            if (abs(rlist[maxerr] - area12) <= 1e-5 * abs(area12)
-                    and erro12 >= 0.99 * errmax):
-                if extrap:
-                    iroff2 += 1
-                else:
-                    iroff1 += 1
-            if last > 10 and erro12 > errmax:
-                iroff3 += 1
-        level[maxerr] = levcur
-        level.append(levcur)
-        rlist[maxerr] = area1
-        rlist.append(area2)
-        errbnd = max(epsabs, epsrel * abs(area))
-        if iroff1 + iroff2 >= 10 or iroff3 >= 20:
-            ier = 2
-        if iroff2 >= 5:
-            ierro = 3
-        if last == limit:
-            ier = 1
-        if max(abs(a1), abs(b2)) <= (1.0 + 100.0 * _EPMACH) * (abs(a2) + 1000.0 * _UFLOW):
-            ier = 4
-        if error2 > error1:
-            alist[maxerr] = a2
-            alist.append(a1)
-            blist.append(b1)
-            rlist[maxerr] = area2
-            rlist[last] = area1
-            elist[maxerr] = error2
-            elist.append(error1)
-        else:
-            alist.append(a2)
-            blist[maxerr] = b1
-            blist.append(b2)
-            elist[maxerr] = error1
-            elist.append(error2)
-        iord.append(0)
-        maxerr, errmax, nrmax = _qpsrt(limit, last, maxerr, elist, iord, nrmax)
-        if errsum <= errbnd:
-            return _finish(_sum_areas(rlist), ier)
-        if ier != 0:
+    while len(heap) < limit:
+        negerr, a1, b2, old = heap[0]
+        b1 = 0.5 * (a1 + b2)
+        if max(abs(a1), abs(b2)) <= (1.0 + 100.0 * _EPMACH) * (abs(b1) + 1000.0 * _UFLOW):
+            break  # too short to split
+        area1, error1, _ = _qk21(a1, b1, norm, two_var, delta, half_gamma)
+        area2, error2, _ = _qk21(b1, b2, norm, two_var, delta, half_gamma)
+        heapreplace(heap, (-error1, a1, b1, area1))
+        heappush(heap, (-error2, b1, b2, area2))
+        errsum = errsum + negerr + (error1 + error2)
+        area = area + (area1 + area2) - old
+        if errsum <= max(epsabs, epsrel * area):
+            return fsum(entry[3] for entry in heap)
+        if errsum <= 100.0 * _EPMACH * area:
             break
-        if noext:
-            continue
-        erlarg = erlarg - erlast
-        if levcur + 1 <= levmax:
-            erlarg = erlarg + erro12
-        if not extrap:
-            # Is the interval to be bisected next the smallest one?
-            if level[maxerr] + 1 <= levmax:
-                continue
-            extrap = True
-            nrmax = 2
-        if ierro != 3 and erlarg > ertest:
-            # The smallest interval has the largest error: bisect the
-            # larger intervals first, so erlarg falls before extrapolating.
-            jupbnd = last
-            if last > 2 + limit // 2:
-                jupbnd = limit + 3 - last
-            larger = False
-            for _ in range(nrmax, jupbnd + 1):
-                maxerr = iord[nrmax]
-                errmax = elist[maxerr]
-                if level[maxerr] + 1 <= levmax:
-                    larger = True
-                    break
-                nrmax += 1
-            if larger:
-                continue
-        numrl2 += 1
-        rlist2[numrl2] = area
-        if numrl2 > 2:
-            numrl2, nres, reseps, abseps = _qelg(numrl2, rlist2, res3la, nres)
-            ktmin += 1
-            if ktmin > 5 and abserr < 1e-3 * errsum:
-                ier = 5
-            if abseps < abserr:
-                ktmin = 0
-                abserr = abseps
-                result = reseps
-                correc = erlarg
-                ertest = max(epsabs, epsrel * abs(reseps))
-                if abserr < ertest:
-                    break
-            if numrl2 == 1:
-                noext = True
-            if ier >= 5:
-                break
-        # Prepare to bisect the smallest interval.
-        maxerr = iord[1]
-        errmax = elist[maxerr]
-        nrmax = 1
-        extrap = False
-        levmax += 1
-        erlarg = errsum
-
-    # Set the final result: the extrapolated one, unless the plain sum of
-    # the areas has the smaller relative error.
-    if abserr == _OFLOW:
-        return _finish(_sum_areas(rlist), ier)
-    if ier + ierro != 0:
-        if ierro == 3:
-            abserr = abserr + correc
-        if ier == 0:
-            ier = 3
-        if result != 0.0 and area != 0.0:
-            if abserr / abs(result) > errsum / abs(area):
-                return _finish(_sum_areas(rlist), ier)
-        elif abserr > errsum:
-            return _finish(_sum_areas(rlist), ier)
-        elif area == 0.0:
-            return _finish(result, ier)
-    # Test on divergence.
-    if 0.01 > result / area or result / area > 100.0 or errsum > abs(area):
-        ier = 6
-    return _finish(result, ier)
+    else:  # limit intervals
+        return _warned(fsum(entry[3] for entry in heap), 1)
+    return _warned(fsum(entry[3] for entry in heap), 2)
 
 
-def _sum_areas(rlist):
-    # One by one, as dqagpe adds them (``sum`` compensates from Python 3.12).
-    result = 0.0
-    for area in rlist[1:]:
-        result = result + area
-    return result
-
-
-def _finish(result, ier):
-    if ier > 2:
-        ier -= 1
-    if ier:
-        warnings.warn(f"pulse-overlap quadrature: {_IER_MESSAGES[ier]} "
-                      f"(QUADPACK ier = {ier}); returning the estimate",
-                      UserWarning, stacklevel=3)
+def _warned(result, ier):
+    warnings.warn(f"pulse-overlap quadrature: {_IER_MESSAGES[ier]} "
+                  f"(QUADPACK ier = {ier}); returning the estimate",
+                  UserWarning, stacklevel=3)
     return result
 
 

@@ -7,11 +7,10 @@ spectral range and linewidth, the escape probability of an intracavity
 photon, the emission enhancement into the resonant mode, and the spectral
 overlap of a finite-bandwidth pulse with the resonance.
 
-The overlap integral and the optimal outcoupler come from ports of two
-published algorithms in ``muxmem._numerics``, imported on first use:
-QUADPACK's ``dqagpe`` and Brent's bounded minimizer.  They keep every
-floating-point operation in order, so they give the bits of the scipy
-routines they replace.
+The optimal outcoupler and the overlap integral come from
+``muxmem._numerics``: Brent's bounded minimizer with scipy's bits, and an
+adaptive quadrature whose first pass is QUADPACK's ``dqagpe`` with
+``scipy.integrate.quad``'s bits, bisecting beyond it without extrapolation.
 """
 
 from __future__ import annotations
@@ -131,11 +130,13 @@ def effective_enhancement(
     In the narrow-band limit (and |detuning| << FSR/2) this reduces to
     enhancement / (1 + (2 detuning / linewidth)^2).
 
-    The integral is QUADPACK's adaptive ``dqagpe`` with the 21-point
-    Gauss–Kronrod rule (Piessens et al., *QUADPACK*, Springer 1983), ported
-    in :mod:`muxmem._numerics`, at ``scipy.integrate.quad``'s settings
-    (absolute tolerance 1.49e-8, relative 1e-8, at most 400 intervals) and
-    with its bits.  If it does not converge, a ``UserWarning`` names why.
+    The integral is :func:`muxmem._numerics.qagp` at ``scipy.integrate.quad``'s
+    settings (absolute tolerance 1.49e-8, relative 1e-8, at most 400
+    intervals).  Its first pass is QUADPACK's ``dqagpe`` with ``quad``'s
+    bits, and every overlap at the scenarios' default and golden configs
+    stops there; beyond it, the interval of largest error is bisected
+    without QUADPACK's extrapolation.
+    If it does not converge, a ``UserWarning`` names why.
     """
     if not math.isfinite(cavity_detuning):
         raise ValueError(f"cavity_detuning must be finite, got {cavity_detuning}")

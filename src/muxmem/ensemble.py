@@ -65,6 +65,8 @@ class AtomEnsemble:
             raise ValueError("positions and velocities must be 1-d arrays of equal length")
         if len(self.positions) < 1:
             raise ValueError("ensemble must contain at least one atom")
+        if not (np.isfinite(self.positions).all() and np.isfinite(self.velocities).all()):
+            raise ValueError("positions and velocities must be finite")
         if not (self.k_sw >= 0.0 and self.zeeman_coeff >= 0.0):  # NaN fails too
             raise ValueError("k_sw and zeeman_coeff must be >= 0")
 
@@ -425,16 +427,24 @@ def echo_profiles(
     and on the other pulses of the call, which set the expansion's centre.
 
     Returns a list with one array per pulse, each of shape (len(times), 2)
-    with columns (time, efficiency).
+    with columns (time, efficiency).  ``pulses`` must not be empty,
+    ``p_int0`` must lie in [0, 1] and ``write_time`` must be finite; a
+    non-finite readout time gives a non-finite value at that time alone.
     """
     if _integer("nodes", nodes) < 3:
         raise ValueError("need at least 3 quadrature nodes")
+    if not 0.0 <= p_int0 <= 1.0:  # NaN fails too
+        raise ValueError(f"p_int0 must lie in [0, 1], got {p_int0}")
+    if not math.isfinite(write_time):
+        raise ValueError("write_time must be finite")
     times = np.asarray(times, dtype=float)
     x, w = _creation_nodes(nodes)
     created = []
     for pulse in pulses:
         sigma_t = pulse.duration_fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
         created += [write_time + math.sqrt(2.0) * sigma_t * xk for xk in x]
+    if not created:
+        raise ValueError("need at least one pulse")
     curves = _node_curves(ens, timeline, created, times, p_int0)
     profiles = []
     for lo in range(0, len(created), len(x)):

@@ -1,8 +1,8 @@
 """Resonator figures of merit and pulse-bandwidth averaging."""
 
+import contextlib
 import math
 import random
-import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +25,9 @@ from muxmem.cavity import (
     rate_gain,
 )
 from muxmem.config import parse_config
+from muxmem.scenarios import run_scenario
+
+from conftest import GOLDEN
 
 CAV = CavityParams(transmission=0.14, loss=0.11, roundtrip_length=0.877)
 
@@ -199,23 +202,31 @@ def overlap_problem(cav, pulse, cavity_detuning):
     return integrand, span, points, (norm, two_var, delta, gamma / 2.0)
 
 
-def quad_enhancement(cav, pulse, cavity_detuning=0.0):
+def quad_enhancement(cav, pulse, cavity_detuning=0.0, **tight):
+    """quad's enhancement, with full_output's ``neval``; ``tight`` for a reference."""
     integrand, span, points, _ = overlap_problem(cav, pulse, cavity_detuning)
-    overlap, _ = quad(integrand, -span, span, points=points, epsrel=1e-8, limit=400)
-    return enhancement_factor(cav) * min(overlap, 1.0)
+    settings = {"epsrel": 1e-8, "limit": 400, **tight}
+    overlap, _, info = quad(integrand, -span, span, points=points, full_output=1,
+                            **settings)[:3]
+    return enhancement_factor(cav) * min(overlap, 1.0), info["neval"]
+
+
+def first_pass_converged(neval, points):
+    """Whether a quad run stopped after one 21-point rule per break-point interval."""
+    return neval == 21 * (len(points) + 1)
 
 
 @pytest.fixture
-def qelg_calls(monkeypatch):
-    """Counts calls of the port's epsilon-algorithm extrapolation (dqelg)."""
+def qk21_calls(monkeypatch):
+    """Counts the port's 21-point rule evaluations, one per interval."""
     calls = []
-    extrapolate = _numerics._qelg
+    rule = _numerics._qk21
 
     def counted(*args):
         calls.append(1)
-        return extrapolate(*args)
+        return rule(*args)
 
-    monkeypatch.setattr(_numerics, "_qelg", counted)
+    monkeypatch.setattr(_numerics, "_qk21", counted)
     return calls
 
 
@@ -228,34 +239,69 @@ def test_effective_enhancement_same_bits_as_quad_on_scenario_grid():
         pulse = PulseSpec(dur)
         for d in detunings:
             assert effective_enhancement(cfg.cavity, pulse, d) == \
-                quad_enhancement(cfg.cavity, pulse, d), (dur, d)
+                quad_enhancement(cfg.cavity, pulse, d)[0], (dur, d)
 
 
-def test_effective_enhancement_same_bits_as_quad_on_random_draws(qelg_calls):
+@pytest.mark.parametrize("config", [
+    '{"scenario": "pulse-enhancement"}',
+    (GOLDEN / "pulse-enhancement_config.json").read_text(),
+], ids=["default", "golden"])
+def test_pulse_enhancement_overlaps_end_after_the_first_pass(config, monkeypatch, qk21_calls):
+    # Every overlap these configs compute stops after one 21-point rule per
+    # break-point interval, the part of qagp that is quad's bit for bit; a
+    # config that needs bisection would make the pinned bytes depend on it.
+    qagp, counts = _numerics.qagp, []
+
+    def counted(coef, a, b, points, **tolerances):
+        before = len(qk21_calls)
+        result = qagp(coef, a, b, points, **tolerances)
+        counts.append((len(qk21_calls) - before, len(points) + 1))
+        return result
+
+    monkeypatch.setattr(_numerics, "qagp", counted)
+    cfg = parse_config(config)
+    run_scenario(cfg)
+    assert len(counts) == len(cfg.options["durations_s"]) * (cfg.options["n_points"] + 1)
+    assert all(rules == intervals for rules, intervals in counts)
+
+
+# Beyond its first pass the port bisects without QUADPACK's extrapolation,
+# so it is held to the requested tolerance against a tight quad run, with
+# quad's own distance from that run as slack: |got - ref| <= |quad - ref| + tol.
+TIGHT = {"epsabs": 1e-15, "epsrel": 1e-13, "limit": 5000}
+
+
+def test_effective_enhancement_same_bits_as_quad_on_random_draws(qk21_calls):
     rng = random.Random(2024)
-    extrapolated = 0
+    bisected = 0
     for _ in range(300):
         cav = CavityParams(10 ** rng.uniform(-3, -0.05), 10 ** rng.uniform(-3, -0.05),
                            rng.uniform(0.05, 3.0))
         pulse = PulseSpec(10 ** rng.uniform(math.log10(0.3e-9), -3))
         d = rng.choice([0.0, rng.uniform(-1, 1) * linewidth(cav) * 10 ** rng.uniform(-2, 2)])
-        before = len(qelg_calls)
-        assert effective_enhancement(cav, pulse, d) == quad_enhancement(cav, pulse, d), \
-            (cav, pulse, d)
-        extrapolated += len(qelg_calls) > before
-    # The draws exercise QUADPACK's extrapolation, not only plain bisection.
-    assert extrapolated >= 10
+        points = overlap_problem(cav, pulse, d)[2]
+        qk21_calls.clear()
+        got = effective_enhancement(cav, pulse, d)
+        want, neval = quad_enhancement(cav, pulse, d)
+        if first_pass_converged(neval, points):
+            assert got == want, (cav, pulse, d)
+            continue
+        bisected += len(qk21_calls) > len(points) + 1
+        ref = quad_enhancement(cav, pulse, d, **TIGHT)[0]
+        tol = max(1.49e-8 * enhancement_factor(cav), 1e-8 * ref)
+        assert abs(got - ref) <= abs(want - ref) + tol, (cav, pulse, d)
+    # The draws exercise the bisection, not only the first pass.
+    assert bisected >= 10
 
 
-def test_qagp_same_bits_as_quad_on_lines_off_the_break_points(qelg_calls):
+def test_qagp_same_bits_as_quad_on_lines_off_the_break_points(qk21_calls):
     # A unit Gaussian times a line 10 to 10^4 times narrower, placed between
     # 0 to 3 break points, at tight tolerances and small limits: the rule
-    # must hunt the line down by bisection, so extrapolation decides many
-    # results and some runs end in a warning.  With full_output, quad hands
-    # back its warning as a fourth item; the port must warn exactly then.
+    # must hunt the line down by bisection.  The reference has break points
+    # at the line's centre and half widths, as effective_enhancement does.
     rng = random.Random(5)
     norm = 1.0 / math.sqrt(2.0 * math.pi)
-    extrapolated = warned = 0
+    bisected = 0
     for _ in range(1000):
         gamma = 10 ** rng.uniform(-4, -1)
         delta = rng.uniform(-3.0, 3.0)
@@ -269,17 +315,19 @@ def test_qagp_same_bits_as_quad_on_lines_off_the_break_points(qelg_calls):
 
         want = quad(integrand, -10.0, 10.0, points=points, epsabs=epsabs, epsrel=epsrel,
                     limit=limit, full_output=1)
-        before = len(qelg_calls)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            got = _numerics.qagp((norm, 2.0, delta, gamma / 2.0), -10.0, 10.0, points,
-                                 epsabs, epsrel, limit)
-        assert got == want[0], (gamma, delta, points, epsabs, epsrel, limit)
-        assert len(caught) == (len(want) == 4)
-        extrapolated += len(qelg_calls) > before
-        warned += len(caught)
-    assert extrapolated >= 900
-    assert warned >= 10
+        qk21_calls.clear()
+        # quad warns on 16 of these draws; the port converges on all of them.
+        got = _numerics.qagp((norm, 2.0, delta, gamma / 2.0), -10.0, 10.0, points,
+                             epsabs, epsrel, limit)
+        case = (gamma, delta, points, epsabs, epsrel, limit)
+        if first_pass_converged(want[2]["neval"], points):
+            assert got == want[0], case
+            continue
+        bisected += len(qk21_calls) > len(points) + 1
+        ref = quad(integrand, -10.0, 10.0, full_output=1, **TIGHT,
+                   points=sorted({*points, delta - gamma, delta, delta + gamma}))[0]
+        assert abs(got - ref) <= abs(want[0] - ref) + max(epsabs, epsrel * ref), case
+    assert bisected >= 900
 
 
 @pytest.mark.parametrize("limit, epsabs, epsrel, condition", [
@@ -297,7 +345,35 @@ def test_quadrature_warns_when_it_does_not_converge(limit, epsabs, epsrel, condi
     with pytest.warns(IntegrationWarning):
         want, _ = quad(integrand, -span, span, points=points, epsabs=epsabs,
                        epsrel=epsrel, limit=limit)
-    assert got == want
+    assert abs(got - want) <= max(1.49e-8, 1e-8 * want)
+
+
+@pytest.mark.parametrize("epsrel, condition", [(1e-13, None), (1e-15, "roundoff error")],
+                         ids=["converged", "roundoff"])
+def test_quadrature_first_pass_stops_give_quads_bits(epsrel, condition):
+    # A 10 us pulse's first pass reaches a relative 1e-13 on the relative
+    # tolerance alone, and stops at 1e-15 on dqagpe's roundoff rule, with a
+    # warning; both stops return quad's bits.
+    integrand, span, points, coef = overlap_problem(CAV, PulseSpec(10e-6), 0.0)
+    want = quad(integrand, -span, span, points=points, epsabs=1e-300, epsrel=epsrel,
+                limit=400, full_output=1)
+    assert first_pass_converged(want[2]["neval"], points)
+    with pytest.warns(UserWarning, match=condition) if condition else contextlib.nullcontext():
+        got = _numerics.qagp(coef, -span, span, points, 1e-300, epsrel, 400)
+    assert got == want[0]
+
+
+def test_quadrature_bisects_until_limit_intervals(qk21_calls):
+    # The 1 ns overlap converges on its second bisection, at 12 intervals:
+    # a limit of 12 allows it, 11 stops one bisection short.
+    _, span, points, coef = overlap_problem(CAV, PulseSpec(1e-9), 0.0)
+    nint = len(points) + 1
+    _numerics.qagp(coef, -span, span, points, 1.49e-8, 1e-8, 12)
+    assert len(qk21_calls) == nint + 2 * (12 - nint)
+    qk21_calls.clear()
+    with pytest.warns(UserWarning, match="maximum number of subdivisions"):
+        _numerics.qagp(coef, -span, span, points, 1.49e-8, 1e-8, 11)
+    assert len(qk21_calls) == nint + 2 * (11 - nint)
 
 
 def test_optimal_outcoupler_same_bits_as_minimize_scalar():

@@ -287,6 +287,12 @@ NAN, INF = math.nan, math.inf
 REVERSAL = FieldTimeline.reversal(2.0, 1e-6)
 FINITE_AND_NONNEGATIVE = "^cloud_sigma and temperature must be finite and >= 0$"
 FINITE_TIMELINE = "^segment start times, gradients and drift_rate must be finite$"
+FINITE_ATOMS = "^positions and velocities must be finite$"
+
+
+def _echo(write_time=0.0, pulses=(PulseSpec(266e-9),), p_int0=0.4):
+    return echo_profiles(AtomEnsemble(np.zeros(3), np.zeros(3)), REVERSAL, write_time,
+                         list(pulses), p_int0, [2e-6], nodes=5)
 
 
 @pytest.mark.parametrize("call, message", [
@@ -319,11 +325,21 @@ FINITE_TIMELINE = "^segment start times, gradients and drift_rate must be finite
      "^cavity_detuning must be finite, got inf$"),
     (lambda: max_modes(BASE, NAN), r"^threshold must exceed 1 \(the classical floor\)$"),
     (lambda: rephasing_time(REVERSAL, NAN), "^write_time must be finite$"),
+    (lambda: AtomEnsemble(np.array([NAN, 0.0]), np.zeros(2)), FINITE_ATOMS),
+    (lambda: AtomEnsemble(np.zeros(2), np.array([0.0, INF])), FINITE_ATOMS),
+    (lambda: _echo(p_int0=NAN), r"^p_int0 must lie in \[0, 1\], got nan$"),
+    (lambda: _echo(p_int0=2.0), r"^p_int0 must lie in \[0, 1\], got 2.0$"),
+    (lambda: _echo(p_int0=-0.5), r"^p_int0 must lie in \[0, 1\], got -0.5$"),
+    (lambda: _echo(write_time=NAN), "^write_time must be finite$"),
+    (lambda: _echo(write_time=INF), "^write_time must be finite$"),
+    (lambda: _echo(pulses=[]), "^need at least one pulse$"),
 ], ids=["cloud_sigma-nan", "cloud_sigma-inf", "temperature-nan", "temperature-inf",
         "readout-nan", "write-nan", "readout-inf", "p_int-nan", "p_int-array-nan",
         "reverse_time-nan", "segment-start-nan", "gradient-nan", "gradient-inf",
         "drift_rate-nan", "k_sw-nan", "zeeman_coeff-nan", "echo-time-nan", "echo-time-inf",
-        "finesse-nan", "detuning-nan", "detuning-inf", "threshold-nan", "rephasing-nan"])
+        "finesse-nan", "detuning-nan", "detuning-inf", "threshold-nan", "rephasing-nan",
+        "position-nan", "velocity-inf", "echo-p_int0-nan", "echo-p_int0-above",
+        "echo-p_int0-below", "echo-write-nan", "echo-write-inf", "echo-no-pulses"])
 def test_entry_points_reject_nan_and_infinity(call, message):
     # NaN fails every comparison, so each check is written to accept only
     # values that pass it; a value without a bound is checked for finiteness.
