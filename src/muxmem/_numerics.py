@@ -106,7 +106,11 @@ def qagp(coef, a, b, points, epsabs, epsrel, limit):
     sorted, unique and strictly inside (a, b), with a < b and
     len(points) + 2 <= limit, as ``scipy.integrate.quad`` leaves them; they
     are not checked.  ``norm`` must be positive, so the integrand and every
-    area are never negative.
+    area are never negative.  Give the line's centre ``delta`` and
+    ``delta ± 2 * half_gamma`` among ``points``, as ``effective_enhancement``
+    does: a line narrower than the node spacing that falls between the 21
+    nodes of every interval goes unseen, and the sum converges on a wrong
+    value without a warning.
 
     The first pass is dqagpe's, bit for bit: the 21-point rule on each
     break-point interval, the sums, and the stops (converged, or roundoff).

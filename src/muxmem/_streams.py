@@ -2,8 +2,9 @@
 
 :func:`block_keys` derives the key of every block of a call at once, in the
 uint32 arithmetic of numpy's ``SeedSequence`` hash; :func:`rekey` points a
-worker's generator at a block's stream; :func:`run_workers` fans a call's
-tasks out over one worker per usable CPU.
+worker's generator at a block's stream; :func:`run_workers` runs a call's
+tasks on one worker per usable CPU, each worker taking the next task from one
+shared queue as it frees up.
 """
 
 from __future__ import annotations
@@ -79,17 +80,26 @@ if hasattr(os, "register_at_fork"):
 
 
 def run_workers(fn, tasks: int) -> list:
-    """``[fn(range(w, tasks, W)) for w in range(W)]``, W = min(tasks, usable CPUs).
+    """``fn(queue)`` on W = min(tasks, usable CPUs) workers; the results of those that ran.
 
-    Worker 0 runs on the calling thread; workers 1 ... W - 1 run on the
-    shared pool, so a call starts no thread of its own.  Every call first
-    sizes the pool to the usable CPUs less one (no pool, and no
+    The workers' queues share one lock-guarded ``iter(range(tasks))``, so each
+    index goes exactly once, to whichever worker frees up first.  Worker 0
+    runs on the calling thread, and its result comes first; workers 1 ... W - 1
+    are queued on the shared pool, so a call starts no thread of its own.
+    Once worker 0 has emptied the queue, a pool worker that has not started
+    (it may wait behind another call's) is cancelled, not waited for.  Every
+    call first sizes the pool to the usable CPUs less one (no pool, and no
     ``concurrent.futures`` import, at one CPU), so a pool sized for CPUs that
     went away does not keep its threads.  A forked child makes its own pool.
     """
     global _pool
     cpus = _usable_cpus()
-    workers = min(tasks, cpus)
+    indices, lock = iter(range(tasks)), threading.Lock()
+
+    def take():
+        with lock:
+            return next(indices, None)
+
     old = None
     with _pool_lock:    # no call submits to a pool that another shuts down
         if (_pool[0] if _pool else 0) != cpus - 1:
@@ -97,8 +107,8 @@ def run_workers(fn, tasks: int) -> list:
             old, _pool = _pool, None
             if cpus > 1:
                 _pool = (cpus - 1, ThreadPoolExecutor(cpus - 1, "muxmem-engine"))
-        futures = [_pool[1].submit(fn, range(w, tasks, workers)) for w in range(1, workers)]
+        futures = [_pool[1].submit(fn, iter(take, None)) for _ in range(1, min(tasks, cpus))]
     if old is not None:
         old[1].shutdown()  # its queued work still runs; then its threads exit
-    first = fn(range(0, tasks, workers))
-    return [first] + [future.result() for future in futures]
+    first = fn(iter(take, None))
+    return [first] + [future.result() for future in futures if not future.cancel()]

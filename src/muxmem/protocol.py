@@ -13,7 +13,7 @@ at its programmed readout.
 
 :func:`run_trials` states the engine's contract: blocks, streams, passes,
 and why no bit depends on the CPU count.  :func:`muxmem._streams.run_workers`
-spreads the passes over the CPUs.
+hands the passes out to the CPUs.
 """
 
 from __future__ import annotations
@@ -217,13 +217,13 @@ def run_trials(
     block draws its Bernoulli words (:func:`_draw_below`), uniforms and
     splitter binomials from its own stream into its own rows, then the pass
     is tallied with one set of numpy calls, so no bit depends on the pass
-    layout.  Passes fan out over the usable CPUs (:func:`_streams.run_workers`),
-    each worker into its own tally, and the tallies add as integers, exact in
-    any order.  The unconditional reads, which no draw changes, are set once
-    per call for every readout: the k-th unconditional read reads mode
-    k mod M (or the fixed mode), k counting the odd trials under feed-forward
-    and every trial otherwise.  ``n_reads`` adds them to the heralded reads
-    that the passes count.
+    layout.  Each pass goes to the first worker to free up, one per usable CPU
+    (:func:`_streams.run_workers`), each into its own tally, and the tallies
+    add as integers, exact in any order.  The unconditional reads, which no
+    draw changes, are set once per call for every readout: the k-th
+    unconditional read reads mode k mod M (or the fixed mode), k counting the
+    odd trials under feed-forward and every trial otherwise.  ``n_reads`` adds
+    them to the heralded reads that the passes count.
     """
     m = mem.n_modes
     if schedule.n_modes != m:

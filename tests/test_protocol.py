@@ -1,5 +1,6 @@
 """Trial engine, tallies, and correlation estimators."""
 
+import contextlib
 import dataclasses
 import functools
 import hashlib
@@ -10,6 +11,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -947,6 +949,145 @@ def test_concurrent_callers_get_serial_tallies(callers):
             assert_tallies_equal(tally, want)
     run_trials(*jobs[0][:4])   # one call at the real CPU count
     assert len(engine_threads()) <= _streams._usable_cpus() - 1
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+@pytest.mark.parametrize("tasks", [1, 5, 40, 20000])
+def test_run_workers_hands_out_every_task_once(cpus, tasks):
+    # Each worker yields the interpreter after every task it takes, and
+    # threads switch every microsecond, so the workers interleave; together
+    # they take every index once, each in queue order.
+    def fn(queue):
+        taken = []
+        for task in queue:
+            taken.append(task)
+            time.sleep(0)
+        return taken
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with mock.patch.object(_streams, "_usable_cpus", lambda: cpus):
+            results = _streams.run_workers(fn, tasks)
+    finally:
+        sys.setswitchinterval(interval)
+    assert 1 <= len(results) <= min(tasks, cpus)
+    assert sorted(itertools.chain(*results)) == list(range(tasks))
+    assert all(taken == sorted(taken) for taken in results)
+
+
+@contextlib.contextmanager
+def pool_thread_held():
+    """Under two usable CPUs, hold the pool's one thread until the block exits.
+
+    Every pool worker submitted meanwhile waits behind the held task, which
+    has no timeout of its own: a call that waited for it would hang until
+    the block exits.
+    """
+    started, release = threading.Event(), threading.Event()
+    _streams.run_workers(list, 1)          # sizes the pool to one thread
+    held = _streams._pool[1].submit(lambda: (started.set(), release.wait()))
+    assert started.wait(timeout=60)
+    try:
+        yield
+    finally:
+        release.set()
+        held.result(timeout=60)
+
+
+def test_run_workers_cancels_a_pool_worker_that_has_not_started():
+    # The call's pool worker waits behind the held thread, so the calling
+    # thread takes every task and returns without waiting for it; once the
+    # thread is free, the cancelled worker never runs.
+    ran, got = [], []
+
+    def fn(queue):
+        ran.append(threading.get_ident())
+        return list(queue)
+
+    caller = threading.Thread(target=lambda: got.append(_streams.run_workers(fn, 10)))
+    with mock.patch.object(_streams, "_usable_cpus", lambda: 2):
+        with pool_thread_held():
+            caller.start()
+            caller.join(timeout=60)
+            returned = not caller.is_alive()
+        _streams._pool[1].submit(int).result(timeout=60)   # after any queued work
+    assert returned
+    assert got == [[list(range(10))]]
+    assert ran == [caller.ident]
+
+
+def stalled_pool(lead):
+    """``run_workers`` whose pool workers start once the caller has taken ``lead`` tasks."""
+    def run(fn, tasks):
+        caller, go = threading.get_ident(), threading.Event()
+
+        def worker(queue):
+            if threading.get_ident() != caller:
+                assert go.wait(timeout=60)
+                return fn(queue)
+
+            def counted():
+                for i, task in enumerate(queue):
+                    yield task
+                    if i + 1 == lead:
+                        go.set()
+            try:
+                return fn(counted())
+            finally:
+                go.set()
+
+        return _streams.run_workers(worker, tasks)
+    return run
+
+
+@pytest.mark.parametrize("n_trials", POOL_TRIALS)
+@pytest.mark.parametrize("readout", [FEED_FORWARD, CYCLE, 4])
+def test_tally_same_bits_when_the_caller_runs_most_passes(readout, n_trials):
+    # One-block passes on two CPUs, the pool worker stalled until the calling
+    # thread has taken 7 of the 9 passes of the largest call (every pass of
+    # the smaller ones): a hand-out no fixed striding gives.
+    mem = replace(PINNED, n_modes=9)
+    schedule = reversal_schedule(9)
+    with mock.patch.object(_streams, "_usable_cpus", lambda: 2), \
+            mock.patch.object(protocol, "_PASS_BLOCKS", 1), \
+            mock.patch.object(protocol, "run_workers", stalled_pool(7)):
+        got = run_trials(mem, schedule, n_trials, seed=77, readout=readout)
+    assert_tallies_equal(got, loop_run_trials(mem, schedule, n_trials, 77, readout))
+
+
+@pytest.mark.parametrize("held", [False, True])
+def test_concurrent_callers_queue_behind_each_other(held):
+    # Two callers share the one pool thread of two CPUs, so one caller's
+    # pool worker waits behind the other's, and is cancelled if its caller
+    # empties its own queue first.  Held, the pool thread is busy until both
+    # callers have returned, so each runs every pass of its calls itself.
+    jobs = [(replace(PINNED, n_modes=m), reversal_schedule(m), 3 * BLOCK_SIZE + 5, 300 + i, r)
+            for i, (m, r) in enumerate(CONCURRENT_JOBS[:2])]
+    serial = [loop_run_trials(mem, sch, n, seed, r) for mem, sch, n, seed, r in jobs]
+    results = [[] for _ in jobs]
+    start = threading.Barrier(len(jobs))
+
+    def call(i):
+        mem, sch, n, seed, r = jobs[i]
+        start.wait(timeout=60)
+        for _ in range(8):
+            results[i].append(run_trials(mem, sch, n, seed, readout=r))
+
+    threads = [threading.Thread(target=call, args=(i,)) for i in range(len(jobs))]
+    with mock.patch.object(_streams, "_usable_cpus", lambda: 2), \
+            mock.patch.object(protocol, "_PASS_BLOCKS", 1), \
+            (pool_thread_held() if held else contextlib.nullcontext()):
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        returned = not any(t.is_alive() for t in threads)
+    assert returned
+    for got, want in zip(results, serial):
+        assert len(got) == 8
+        for tally in got:
+            assert_tallies_equal(tally, want)
 
 
 def fork_child(queue):
