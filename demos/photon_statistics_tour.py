@@ -19,7 +19,6 @@ from muxmem import (
     cavity_gain,
     coincidence_prob,
     cross_correlation,
-    g2_vs_storage,
     max_modes,
     read_prob,
     retrieval_given_write,
@@ -69,7 +68,7 @@ print()
 single = replace(base, p=0.1, n_modes=1)
 times = np.array([0.0, base.tau_mem])
 for beta, label in ((1.0, "isotropic read"), (14.0, "directional read")):
-    g = g2_vs_storage(replace(single, beta_ratio=beta), times)[:, 1]
+    g = cross_correlation(replace(single, beta_ratio=beta), times)
     drop = 1.0 - (g[1] - 1.0) / (g[0] - 1.0)
     print(f"{label}: g2 - 1 loses {100 * drop:.1f}% over one lifetime")
 

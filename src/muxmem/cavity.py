@@ -60,13 +60,12 @@ def finesse(cav: CavityParams) -> float:
 
         F = pi * ((1 - T)(1 - L))^(1/4) / (1 - ((1 - T)(1 - L))^(1/2))
     """
-    x = (1.0 - cav.transmission) * (1.0 - cav.loss)
-    return math.pi * x ** 0.25 / (1.0 - math.sqrt(x))
+    return _figures(cav.transmission, cav.loss)[0]
 
 
 def escape_efficiency(cav: CavityParams) -> float:
     """Probability that an intracavity photon leaves through the outcoupler, T / (T + L)."""
-    return cav.transmission / (cav.transmission + cav.loss)
+    return _figures(cav.transmission, cav.loss)[1]
 
 
 def enhancement_factor(cav: CavityParams) -> float:
@@ -88,7 +87,19 @@ def rate_gain(cav: CavityParams) -> float:
     but wins more of the intracavity light, so the product has an interior
     optimum near T = L.
     """
-    return enhancement_factor(cav) * escape_efficiency(cav)
+    return _figures(cav.transmission, cav.loss)[2]
+
+
+def _figures(transmission: float, loss: float) -> tuple[float, float, float]:
+    """Finesse, escape efficiency and rate gain from T and L, each computed once.
+
+    The one implementation of the three, and a scan row of ``cavity-design``,
+    which builds no ``CavityParams`` per row.
+    """
+    x = (1.0 - transmission) * (1.0 - loss)
+    f = math.pi * x ** 0.25 / (1.0 - math.sqrt(x))
+    escape = transmission / (transmission + loss)
+    return f, escape, enhancement_from_finesse(f) * escape
 
 
 def optimal_outcoupler(loss: float) -> tuple[float, float]:
@@ -137,6 +148,9 @@ def effective_enhancement(
     stops there; beyond it, the interval of largest error is bisected
     without QUADPACK's extrapolation.
     If it does not converge, a ``UserWarning`` names why.
+
+    Scalars only: each detuning needs a quadrature of its own, so a scan
+    makes one call per detuning.
     """
     if not math.isfinite(cavity_detuning):
         raise ValueError(f"cavity_detuning must be finite, got {cavity_detuning}")

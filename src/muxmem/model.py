@@ -11,13 +11,29 @@ mode (the suppression a resonator provides for the retrieved mode).
 Every probability below is per trial and first order in the small quantities,
 which is the regime the formulas are valid in (``p`` of a few percent, mean
 photon numbers well under one).
+
+Arrays.  ``MemoryParams.p_int``, :func:`read_prob`, :func:`coincidence_prob`,
+:func:`retrieval_given_write`, :func:`noise_given_write`,
+:func:`cross_correlation` and :func:`g2_vs_storage` take a storage time that
+is a scalar or an array and give a result of the same shape, element by
+element.  The private ``_g2`` (g2 from ``p``, ``p_int``, ``n_modes``,
+``xi_eg`` and ``beta_ratio``, any of them arrays) lets a scenario scan mode
+counts and suppressions in one call.  :func:`max_modes` and
+:func:`muxmem.cavity.effective_enhancement` take scalars only.  An array
+result has the bits of one scalar call per element, because only +, -, *
+and / move between Python floats and numpy arrays; those round exactly in
+both.  A transcendental keeps its one implementation: ``p_int`` is numpy's
+``exp`` on a scalar as on an array, and a Python ``**`` stays a Python
+power.  Swapping them would move bits: on an AVX-512 host numpy's ``exp``
+differs from ``math.exp`` on 4.6% of inputs, Python's ``t ** 2`` from
+numpy's ``t * t`` on 0.08%, and ``t ** 1.5`` from ``np.power`` on 5%.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -27,6 +43,18 @@ UNBOUNDED = math.inf
 
 #: Names accepted for ``MemoryParams.decay_shape``.
 DECAY_SHAPES = ("exponential", "gaussian")
+
+
+def _check(name: str, value) -> None:
+    """Raise the ValueError of ``MemoryParams`` if ``value`` is out of range for ``name``.
+
+    Covers the fields in [0, 1] and ``beta_ratio``; a NaN fails both.
+    """
+    if name == "beta_ratio":
+        if not value >= 1.0:
+            raise ValueError(f"beta_ratio must be >= 1, got {value}")
+    elif not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {value}")
 
 
 def _integer(name: str, value) -> int:
@@ -79,12 +107,8 @@ class MemoryParams:
     decay_shape: str = "exponential"
 
     def __post_init__(self):
-        for name in ("p", "eta_w", "eta_r", "p_int0", "xi_eg"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {v}")
-        if not self.beta_ratio >= 1.0:  # NaN fails too
-            raise ValueError(f"beta_ratio must be >= 1, got {self.beta_ratio}")
+        for name in ("p", "eta_w", "eta_r", "p_int0", "xi_eg", "beta_ratio"):
+            _check(name, getattr(self, name))
         if _integer("n_modes", self.n_modes) < 1:
             raise ValueError(f"n_modes must be a positive integer, got {self.n_modes}")
         if not self.tau_mem > 0.0:
@@ -110,9 +134,22 @@ class MemoryParams:
         return float(out) if np.isscalar(storage_time) else out
 
 
-def _background_coeff(params: MemoryParams, p_int: float) -> float:
+def _background_coeff(p_int, n_modes, xi_eg, beta_ratio):
     """Dephased-background coefficient (n_modes - p_int) * xi_eg / beta_ratio."""
-    return (params.n_modes - p_int) * params.xi_eg / params.beta_ratio
+    return (n_modes - p_int) * xi_eg / beta_ratio
+
+
+def _g2(p, p_int, n_modes, xi_eg, beta_ratio):
+    """g2_wr of :func:`cross_correlation` from its five inputs, scalars or arrays.
+
+    Elementwise; raises the zero-read-probability ValueError if any element
+    of the denominator p * (p_int + background) is zero.
+    """
+    denom = p * (p_int + _background_coeff(p_int, n_modes, xi_eg, beta_ratio))
+    zero = denom == 0.0
+    if zero.any() if isinstance(zero, np.ndarray) else zero:
+        raise ValueError("cross correlation is undefined: zero read probability")
+    return 1.0 + p_int * (1.0 - p) / denom
 
 
 def write_prob(params: MemoryParams) -> float:
@@ -130,7 +167,8 @@ def read_prob(params: MemoryParams, storage_time: float = 0.0) -> float:
         p_r = p * eta_r * (p_int + (n_modes - p_int) * xi_eg / beta_ratio).
     """
     pi = params.p_int(storage_time)
-    return params.p * params.eta_r * (pi + _background_coeff(params, pi))
+    background = _background_coeff(pi, params.n_modes, params.xi_eg, params.beta_ratio)
+    return params.p * params.eta_r * (pi + background)
 
 
 def coincidence_prob(params: MemoryParams, storage_time: float = 0.0) -> float:
@@ -143,12 +181,8 @@ def coincidence_prob(params: MemoryParams, storage_time: float = 0.0) -> float:
     the heralding excitation.
     """
     pi = params.p_int(storage_time)
-    return (
-        params.p
-        * params.eta_w
-        * params.eta_r
-        * (pi + params.p * _background_coeff(params, pi))
-    )
+    background = _background_coeff(pi, params.n_modes, params.xi_eg, params.beta_ratio)
+    return params.p * params.eta_w * params.eta_r * (pi + params.p * background)
 
 
 def retrieval_given_write(params: MemoryParams, storage_time: float = 0.0) -> float:
@@ -168,7 +202,8 @@ def noise_given_write(params: MemoryParams, storage_time: float = 0.0) -> float:
     resonator suppresses by beta_ratio.
     """
     pi = params.p_int(storage_time)
-    return params.p * _background_coeff(params, pi) * params.eta_r
+    background = _background_coeff(pi, params.n_modes, params.xi_eg, params.beta_ratio)
+    return params.p * background * params.eta_r
 
 
 def cross_correlation(params: MemoryParams, storage_time: float = 0.0) -> float:
@@ -177,15 +212,14 @@ def cross_correlation(params: MemoryParams, storage_time: float = 0.0) -> float:
         g2 = 1 + p_int * (1 - p) / (p * p_int + p * (n_modes - p_int) * xi_eg / beta_ratio)
 
     Detection efficiencies cancel in the ratio.  Values above 2 certify
-    nonclassical write-read correlations.
+    nonclassical write-read correlations.  An array of storage times gives
+    an array, element by element; if the read probability is zero at any
+    of them, the call raises.
     """
     if params.p == 0.0:
         raise ValueError("cross correlation is undefined at p = 0 (no heralds)")
     pi = params.p_int(storage_time)
-    denom = params.p * (pi + _background_coeff(params, pi))
-    if denom == 0.0:
-        raise ValueError("cross correlation is undefined: zero read probability")
-    return 1.0 + pi * (1.0 - params.p) / denom
+    return _g2(params.p, pi, params.n_modes, params.xi_eg, params.beta_ratio)
 
 
 def cavity_gain(
@@ -219,20 +253,32 @@ def max_modes(params: MemoryParams, threshold: float) -> float | int:
     single mode fails, or :data:`UNBOUNDED` when the background coefficient
     vanishes and the single-mode correlation clears the threshold.  Raises
     ValueError where :func:`cross_correlation` does (p_int0 = 0 with xi_eg = 0).
+
+    Scalars only: the count is stepped on exact Python integers, which an
+    array of floats cannot do once the bound passes 2**53.
+    """
+    return _max_modes(params.p, params.p_int0, params.xi_eg, params.beta_ratio, threshold)
+
+
+def _max_modes(p, p_int0, xi_eg, beta_ratio, threshold):
+    """:func:`max_modes` from the four numbers it reads, each already in range.
+
+    The ``max-modes`` scenario calls it per cell of its grid, with no
+    ``MemoryParams`` per cell.  The count is stepped on exact integers.
     """
     if not threshold > 1.0:
         raise ValueError("threshold must exceed 1 (the classical floor)")
-    if params.p == 0.0:
+    if p == 0.0:
         raise ValueError("max_modes is undefined at p = 0")
 
-    def g2_at(n: int) -> float:
-        return cross_correlation(replace(params, n_modes=n))
+    def g2_at(n: int) -> float:  # at zero storage time, where p_int is p_int0 exactly
+        return _g2(p, p_int0, n, xi_eg, beta_ratio)
 
-    coeff = params.xi_eg / params.beta_ratio  # 0 when xi_eg = 0 or beta_ratio = inf
+    coeff = xi_eg / beta_ratio  # 0 when xi_eg = 0 or beta_ratio = inf
     if coeff == 0.0:
         return UNBOUNDED if g2_at(1) > threshold else 0
-    pi = params.p_int0
-    bound = pi + (pi * (1.0 - params.p) / (params.p * (threshold - 1.0)) - pi) / coeff
+    pi = p_int0
+    bound = pi + (pi * (1.0 - p) / (p * (threshold - 1.0)) - pi) / coeff
     n = max(int(math.floor(bound)), 0)
     # Absorb floating-point edge cases with the exact cross correlation.
     while n >= 1 and not g2_at(n) > threshold:
@@ -256,5 +302,4 @@ def g2_vs_storage(params: MemoryParams, times) -> np.ndarray:
         Columns (time, g2).
     """
     times = np.asarray(times, dtype=float)
-    g2 = np.array([cross_correlation(params, float(t)) for t in times])
-    return np.column_stack([times, g2])
+    return np.column_stack([times, cross_correlation(params, times)])

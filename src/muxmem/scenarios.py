@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cavity import (
+    _figures,
     effective_enhancement,
     enhancement_factor,
     escape_efficiency,
@@ -33,7 +34,7 @@ from .ensemble import (
     rephasing_time,
     sample_ensemble,
 )
-from .model import cross_correlation, g2_vs_storage, max_modes
+from .model import _check, _g2, _max_modes, cross_correlation, g2_vs_storage
 from .protocol import ModeSchedule, build_schedule, crosstalk_matrix, run_train
 from .repeater import (
     FREEZE_RELEASE,
@@ -75,31 +76,35 @@ def _ensemble(cfg: ScenarioConfig, temperature: float) -> AtomEnsemble:
 
 
 def _scenario_mode_sweep(cfg):
-    rows = []
-    for beta in cfg.options["beta_values"]:
-        for n in range(1, cfg.options["n_modes_max"] + 1):
-            mem = replace(cfg.memory, beta_ratio=beta, n_modes=n)
-            rows.append((n, beta, cross_correlation(mem)))
+    mem, betas = cfg.memory, cfg.options["beta_values"]
+    modes = np.arange(1, cfg.options["n_modes_max"] + 1)
+    g2_top = cross_correlation(replace(mem, beta_ratio=max(betas), n_modes=1))
+    p_int, rows = mem.p_int(0.0), []
+    for beta in betas:
+        _check("beta_ratio", beta)
+        g2 = _g2(mem.p, p_int, modes, mem.xi_eg, beta)
+        rows.extend(zip(modes.tolist(), [beta] * len(modes), g2.tolist()))
     summary = {
-        "beta_values": list(cfg.options["beta_values"]),
+        "beta_values": list(betas),
         "n_modes_max": cfg.options["n_modes_max"],
-        "g2_single_mode_max_beta": cross_correlation(
-            replace(cfg.memory, beta_ratio=max(cfg.options["beta_values"]), n_modes=1)),
+        "g2_single_mode_max_beta": g2_top,
     }
     return ScenarioResult(("n_modes", "beta_ratio", "g2"), rows, summary)
 
 
 def _scenario_max_modes(cfg):
     thr = cfg.options["threshold"]
-    rows = []
-    for beta in cfg.options["beta_values"]:
-        for p_int in cfg.options["p_int_values"]:
-            mem = replace(cfg.memory, beta_ratio=beta, p_int0=p_int)
-            rows.append((beta, p_int, float(max_modes(mem, thr))))
+    betas, p_ints = cfg.options["beta_values"], cfg.options["p_int_values"]
+    mem, rows = cfg.memory, []
+    for beta in betas:
+        for p_int in p_ints:
+            _check("p_int0", p_int)  # MemoryParams' checks, in its order
+            _check("beta_ratio", beta)
+            rows.append((beta, p_int, float(_max_modes(mem.p, p_int, mem.xi_eg, beta, thr))))
     summary = {
         "threshold": thr,
-        "beta_values": list(cfg.options["beta_values"]),
-        "p_int_values": list(cfg.options["p_int_values"]),
+        "beta_values": list(betas),
+        "p_int_values": list(p_ints),
     }
     return ScenarioResult(("beta_ratio", "p_int0", "max_modes"), rows, summary)
 
@@ -107,10 +112,9 @@ def _scenario_max_modes(cfg):
 def _scenario_cavity_design(cfg):
     loss = cfg.cavity.loss
     grid = np.linspace(cfg.options["t_min"], cfg.options["t_max"], cfg.options["n_points"])
-    rows = []
-    for t in grid:
-        cav = replace(cfg.cavity, transmission=float(t))
-        rows.append((float(t), loss, finesse(cav), escape_efficiency(cav), rate_gain(cav)))
+    for t in (grid[0], grid[-1]):  # every row lies between the ends
+        replace(cfg.cavity, transmission=float(t))
+    rows = [(t, loss, *_figures(t, loss)) for t in grid.tolist()]
     t_opt, gain_max = optimal_outcoupler(loss)
     summary = {
         "loss": loss,
@@ -223,7 +227,7 @@ def _scenario_storage_decay(cfg):
     times = np.linspace(0.0, cfg.options["time_stop_s"], cfg.options["n_points"])
     nocav = replace(cfg.memory, beta_ratio=cfg.options["beta_nocavity"])
     g2_c, g2_nc = g2_vs_storage(cfg.memory, times), g2_vs_storage(nocav, times)
-    rows = [(float(t), float(c), float(nc)) for (t, c), (_, nc) in zip(g2_c, g2_nc)]
+    rows = list(zip(times.tolist(), g2_c[:, 1].tolist(), g2_nc[:, 1].tolist()))
     tau = cfg.memory.tau_mem
     g2c0 = cross_correlation(cfg.memory)
     g2ct = cross_correlation(cfg.memory, storage_time=tau)
@@ -289,6 +293,10 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
 
 
 def _cell(value):
+    if type(value) is float:
+        return repr(value)
+    if type(value) is int:
+        return str(value)
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return str(int(value))
     return repr(float(value))

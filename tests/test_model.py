@@ -1,12 +1,15 @@
 """Closed-form photon statistics: frozen values, identities, inversions."""
 
+import json
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from muxmem.cavity import CavityParams, PulseSpec, effective_enhancement, enhancement_from_finesse
+from muxmem.config import parse_config
 from muxmem.ensemble import (
     AtomEnsemble,
     FieldTimeline,
@@ -18,6 +21,7 @@ from muxmem.ensemble import (
 from muxmem.model import (
     UNBOUNDED,
     MemoryParams,
+    _g2,
     cavity_gain,
     coincidence_prob,
     cross_correlation,
@@ -37,6 +41,7 @@ from muxmem.protocol import (
     run_trials,
 )
 from muxmem.repeater import LinkParams
+from muxmem.scenarios import run_scenario
 
 from conftest import BASE, reversal_schedule
 
@@ -362,6 +367,133 @@ def test_max_modes_rounding_corrections(params, n, below, expected):
     g2 = cross_correlation(replace(params, n_modes=n))
     threshold = math.nextafter(g2, 0.0) if below else g2
     assert max_modes(params, threshold) == expected
+
+
+def test_cross_correlation_takes_an_array_of_storage_times():
+    # An array used to raise numpy's "truth value of an array is ambiguous".
+    times = np.array([0.0, 1e-5])
+    g2 = cross_correlation(BASE, times)
+    assert g2.shape == (2,)
+    assert g2.tolist() == [cross_correlation(BASE, t) for t in times.tolist()]
+    # Without a background channel the read probability is zero once p_int
+    # underflows: one such element raises the scalar call's error.
+    clean = replace(BASE, xi_eg=0.0)
+    late = np.array([0.0, 1e3 * clean.tau_mem])
+    assert clean.p_int(late)[1] == 0.0
+    with pytest.raises(ValueError, match="^cross correlation is undefined: zero read probability$"):
+        cross_correlation(clean, late)
+    with pytest.raises(ValueError, match="zero read probability"):
+        cross_correlation(clean, late[1])
+
+
+def outcome(call):
+    """``call()``'s value, or the type and message of the ValueError it raised."""
+    try:
+        return call()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+valid_params = st.builds(
+    MemoryParams,
+    p=st.floats(0.001, 0.5),
+    eta_w=st.floats(0.0, 1.0),
+    eta_r=st.floats(0.0, 1.0),
+    p_int0=st.floats(0.0, 1.0),
+    beta_ratio=st.floats(1.0, 200.0),
+    xi_eg=st.one_of(st.just(0.0), st.floats(1e-3, 1.0)),
+    n_modes=st.integers(1, 200),
+    tau_mem=st.floats(1e-6, 1e-3),
+    decay_shape=st.sampled_from(["exponential", "gaussian"]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(params=valid_params, scaled=st.lists(st.floats(0.0, 50.0), min_size=1, max_size=8),
+       modes=st.lists(st.integers(1, 500), min_size=1, max_size=5),
+       betas=st.lists(st.floats(1.0, 500.0), min_size=1, max_size=5))
+def test_array_g2_has_the_bits_of_scalar_calls(params, scaled, modes, betas):
+    times = [s * params.tau_mem for s in scaled]
+    per_time = [outcome(lambda: cross_correlation(params, t)) for t in times]
+    whole = outcome(lambda: cross_correlation(params, np.array(times)))
+    if any(isinstance(v, tuple) for v in per_time):
+        assert whole == next(v for v in per_time if isinstance(v, tuple))
+    else:
+        assert whole.tolist() == per_time
+        assert g2_vs_storage(params, times)[:, 1].tolist() == per_time
+    # Mode counts and suppressions as arrays, at one storage time.
+    t = times[0]
+    cells = [[outcome(lambda: cross_correlation(replace(params, n_modes=n, beta_ratio=b), t))
+              for b in betas] for n in modes]
+    grid = outcome(lambda: _g2(params.p, params.p_int(t), np.array(modes)[:, None],
+                               params.xi_eg, np.array(betas)))
+    if any(isinstance(v, tuple) for row in cells for v in row):
+        assert isinstance(grid, tuple) and "zero read probability" in grid[1]
+    else:
+        assert grid.tolist() == cells
+
+
+def loop_max_modes(params, threshold):
+    """The rule max_modes keeps: the bound, then steps with cross_correlation."""
+    def g2_at(n):
+        return cross_correlation(replace(params, n_modes=n))
+
+    coeff = params.xi_eg / params.beta_ratio
+    if coeff == 0.0:
+        return UNBOUNDED if g2_at(1) > threshold else 0
+    pi = params.p_int0
+    bound = pi + (pi * (1.0 - params.p) / (params.p * (threshold - 1.0)) - pi) / coeff
+    n = max(int(math.floor(bound)), 0)
+    while n >= 1 and not g2_at(n) > threshold:
+        n -= 1
+    while g2_at(n + 1) > threshold:
+        n += 1
+    return n
+
+
+@settings(max_examples=150, deadline=None)
+@given(params=valid_params, threshold=st.floats(1.000001, 60.0),
+       beta=st.one_of(st.floats(1.0, 500.0), st.just(math.inf)), p_int0=st.floats(0.0, 1.0))
+def test_max_modes_has_the_bits_of_the_stepping_rule(params, threshold, beta, p_int0):
+    params = replace(params, beta_ratio=beta, p_int0=p_int0)
+    assert (outcome(lambda: max_modes(params, threshold))
+            == outcome(lambda: loop_max_modes(params, threshold)))
+
+
+# The default scenario memory with a background coefficient near 1e-17: the
+# bound is about 1.8e17, past 2**53, where n + 1.0 rounds back to n.
+HUGE_BOUND = [replace(BASE, beta_ratio=1e17), replace(BASE, xi_eg=1e-17)]
+
+
+@pytest.mark.parametrize("params", HUGE_BOUND, ids=["beta", "xi_eg"])
+def test_max_modes_steps_exact_integers_past_2_to_the_53(params):
+    n = max_modes(params, 5.8)
+    assert n > 2 ** 53
+    assert n == loop_max_modes(params, 5.8)
+    assert cross_correlation(replace(params, n_modes=n)) > 5.8
+    assert not cross_correlation(replace(params, n_modes=n + 1)) > 5.8
+
+
+def test_max_modes_scenario_past_2_to_the_53():
+    cfg = parse_config(json.dumps({"scenario": "max-modes",
+                                   "options": {"beta_values": [1e17], "p_int_values": [0.4]}}))
+    assert cfg.memory == replace(BASE, beta_ratio=cfg.memory.beta_ratio)
+    (row,) = run_scenario(cfg).rows
+    assert row == (1e17, 0.4, float(max_modes(HUGE_BOUND[0], 5.8)))
+
+
+def test_max_modes_scenario_rows_are_scalar_calls():
+    # Without a background channel every cell is UNBOUNDED; at beta = 1 and
+    # p_int0 = 0.01 not even one mode clears the threshold.
+    seen = set()
+    for memory in ({}, {"xi_eg": 0.0}):
+        cfg = parse_config(json.dumps({"scenario": "max-modes", "memory": memory, "options": {
+            "beta_values": [1, 14.0, 81.0], "p_int_values": [0.01, 0.4, 1]}}))
+        for beta, p_int, n in run_scenario(cfg).rows:
+            mem = replace(cfg.memory, beta_ratio=beta, p_int0=p_int)
+            assert n == float(max_modes(mem, 5.8))
+            seen.add(n)
+    assert {0.0, UNBOUNDED} <= seen
 
 
 def _echo_with_nodes(nodes):

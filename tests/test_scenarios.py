@@ -11,8 +11,10 @@ from pathlib import Path
 
 import pytest
 
+from muxmem.cavity import CavityParams
 from muxmem.cli import main
 from muxmem.config import SCENARIOS, ScenarioConfig, parse_config
+from muxmem.model import MemoryParams
 from muxmem.repeater import FREEZE_RELEASE, readout_latency
 from muxmem.scenarios import ScenarioResult, emit_csv, run_scenario
 
@@ -120,6 +122,42 @@ def test_csv_floats_round_trip_exactly(tmp_path):
     for line, row in zip(lines[1:], rows):
         parsed = [float(tok) for tok in line.split(",")]
         assert parsed == [float(v) for v in row]
+
+
+# Each scan scenario's options at its default grid and at a grid four times as
+# large on one axis.
+SCAN_GRIDS = {
+    "mode-sweep": ({}, {"n_modes_max": 240}),
+    "max-modes": ({}, {"p_int_values": [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9,
+                                        1.0, 0.15, 0.25, 0.35, 0.45, 0.55, 0.65, 0.75,
+                                        0.85, 0.95, 0.05]}),
+    "storage-decay": ({}, {"n_points": 244}),
+    "cavity-design": ({}, {"n_points": 400}),
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(SCAN_GRIDS))
+def test_scan_scenarios_build_no_parameters_per_row(scenario, monkeypatch):
+    """The scans evaluate their closed forms over whole grids, so the number
+    of MemoryParams and CavityParams built does not grow with the grid."""
+    built = []
+    for cls in (MemoryParams, CavityParams):
+        check = cls.__post_init__
+        monkeypatch.setattr(cls, "__post_init__",
+                            lambda self, check=check: (built.append(self), check(self)))
+
+    def count(options):
+        cfg = parse_config(json.dumps({"scenario": scenario, "options": options}))
+        del built[:]
+        result = run_scenario(cfg)
+        return len(built), len(result.rows)
+
+    (small, small_rows), (large, large_rows) = map(count, SCAN_GRIDS[scenario])
+    assert large_rows == 4 * small_rows
+    assert large == small
+    # At most one MemoryParams, for a summary value; cavity-design builds a
+    # CavityParams for each scan end and each of optimal_outcoupler's steps.
+    assert small <= (30 if scenario == "cavity-design" else 1)
 
 
 def test_cli_config_error_exit_2(tmp_path, capsys):
