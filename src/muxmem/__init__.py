@@ -23,7 +23,6 @@ from .model import (
     cavity_gain,
     coincidence_prob,
     cross_correlation,
-    g2_vs_storage,
     max_modes,
     noise_given_write,
     read_prob,

@@ -16,6 +16,7 @@ adaptive quadrature whose first pass is QUADPACK's ``dqagpe`` with
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 #: Speed of light in vacuum, m/s (exact in the SI).
@@ -108,15 +109,14 @@ def optimal_outcoupler(loss: float) -> tuple[float, float]:
     Returns (T_opt, gain_max), searched over 1e-4 <= T <= 0.9999 by Brent's
     bounded minimizer (Brent, *Algorithms for Minimization without
     Derivatives*, 1973) to an x tolerance of 1e-10, with the bits of
-    ``scipy.optimize.minimize_scalar(method="bounded")``.  CavityParams
-    checks ``loss``.
+    ``scipy.optimize.minimize_scalar(method="bounded")``.  The loss is
+    checked once, with CavityParams' message; each step evaluates
+    ``_figures`` and builds no CavityParams.
     """
     from ._numerics import bounded_minimum
 
-    def neg_gain(t: float) -> float:
-        return -rate_gain(CavityParams(t, loss))
-
-    t_opt, neg_max = bounded_minimum(neg_gain, 1e-4, 0.9999, 1e-10)
+    CavityParams(1e-4, loss)
+    t_opt, neg_max = bounded_minimum(lambda t: -_figures(t, loss)[2], 1e-4, 0.9999, 1e-10)
     return t_opt, -neg_max
 
 
@@ -147,7 +147,9 @@ def effective_enhancement(
     bits, and every overlap at the scenarios' default and golden configs
     stops there; beyond it, the interval of largest error is bisected
     without QUADPACK's extrapolation.
-    If it does not converge, a ``UserWarning`` names why.
+    If it does not converge, a ``UserWarning`` names why.  A pulse so long
+    (beyond about 1.8e153 s) that the spectral variance 2 sigma^2 is not a
+    normal double raises a ValueError naming ``duration_fwhm``.
 
     Scalars only: each detuning needs a quadrature of its own, so a scan
     makes one call per detuning.
@@ -156,11 +158,15 @@ def effective_enhancement(
         raise ValueError(f"cavity_detuning must be finite, got {cavity_detuning}")
     from ._numerics import qagp
 
-    gamma = linewidth(cav)
+    f = finesse(cav)
+    gamma = fsr(cav) / f
     sigma = pulse.spectral_fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
     delta = cavity_detuning
     norm = 1.0 / (sigma * math.sqrt(2.0 * math.pi))
     two_var = 2.0 * sigma * sigma
+    if two_var < sys.float_info.min:
+        raise ValueError(f"duration_fwhm is too long for the overlap integral: "
+                         f"the spectral variance underflows, got {pulse.duration_fwhm}")
 
     # Finite span with subdivision points at both peaks: an adaptive rule on
     # an infinite interval misses the Gaussian spike when it is orders
@@ -173,4 +179,4 @@ def effective_enhancement(
     # divide exact values with the same quotient.
     coef = (norm, two_var, delta, gamma / 2.0)
     overlap = qagp(coef, -span, span, points, epsabs=1.49e-8, epsrel=1e-8, limit=400)
-    return enhancement_factor(cav) * min(overlap, 1.0)
+    return enhancement_from_finesse(f) * min(overlap, 1.0)

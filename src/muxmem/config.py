@@ -111,10 +111,10 @@ def _choice(path, v, allowed):
     return v
 
 
-def _list(path, v, item, items, lo=None, unit=""):
+def _list(path, v, item, items, unit="", **bounds):
     if not isinstance(v, list) or not v:
         raise ConfigError(f"{path}: expected a non-empty list of {items}{unit and f' ({unit})'}")
-    return [item(f"{path}[{i}]", x, lo=lo, unit=unit) for i, x in enumerate(v)]
+    return [item(f"{path}[{i}]", x, unit=unit, **bounds) for i, x in enumerate(v)]
 
 
 def _string(path, v):
@@ -203,7 +203,8 @@ OPTION_SPECS = {
         "beta_values": ([float(b) for b in range(1, 82, 2)],
                         lambda p, v: _list(p, v, _num, "numbers", lo=1, unit="dimensionless")),
         "p_int_values": ([0.4, 0.55, 0.7, 0.85, 1.0],
-                         lambda p, v: _list(p, v, _num, "numbers", lo=0, unit="efficiency")),
+                         lambda p, v: _list(p, v, _num, "numbers", lo=0, hi=1,
+                                           unit="efficiency")),
         "threshold": (5.8, lambda p, v: _num(p, v, 1.000001, None, "dimensionless")),
     },
     "cavity-design": {

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import MemoryParams, _integer
+from .model import MemoryParams, _check, _integer
 
 #: Boltzmann constant, J/K (exact in the 2019 SI).
 _KB = 1.380649e-23
@@ -433,8 +433,7 @@ def echo_profiles(
     """
     if _integer("nodes", nodes) < 3:
         raise ValueError("need at least 3 quadrature nodes")
-    if not 0.0 <= p_int0 <= 1.0:  # NaN fails too
-        raise ValueError(f"p_int0 must lie in [0, 1], got {p_int0}")
+    _check("p_int0", p_int0)
     if not math.isfinite(write_time):
         raise ValueError("write_time must be finite")
     times = np.asarray(times, dtype=float)

@@ -13,12 +13,12 @@ which is the regime the formulas are valid in (``p`` of a few percent, mean
 photon numbers well under one).
 
 Arrays.  ``MemoryParams.p_int``, :func:`read_prob`, :func:`coincidence_prob`,
-:func:`retrieval_given_write`, :func:`noise_given_write`,
-:func:`cross_correlation` and :func:`g2_vs_storage` take a storage time that
-is a scalar or an array and give a result of the same shape, element by
-element.  The private ``_g2`` (g2 from ``p``, ``p_int``, ``n_modes``,
-``xi_eg`` and ``beta_ratio``, any of them arrays) lets a scenario scan mode
-counts and suppressions in one call.  :func:`max_modes` and
+:func:`retrieval_given_write`, :func:`noise_given_write` and
+:func:`cross_correlation` take a storage time that is a scalar or an array
+and give a result of the same shape, element by element.  The private
+``_g2`` (g2 from ``p``, ``p_int``, ``n_modes``, ``xi_eg`` and
+``beta_ratio``, any of them arrays) lets a scenario scan mode counts and
+suppressions in one call.  :func:`max_modes` and
 :func:`muxmem.cavity.effective_enhancement` take scalars only.  An array
 result has the bits of one scalar call per element, because only +, -, *
 and / move between Python floats and numpy arrays; those round exactly in
@@ -287,19 +287,3 @@ def _max_modes(p, p_int0, xi_eg, beta_ratio, threshold):
         n += 1
     return n
 
-
-def g2_vs_storage(params: MemoryParams, times) -> np.ndarray:
-    """Cross correlation along a storage-time grid.
-
-    Parameters
-    ----------
-    times : array_like
-        Storage times in seconds, each >= 0 (``p_int`` rejects a negative one).
-
-    Returns
-    -------
-    numpy.ndarray, shape (len(times), 2)
-        Columns (time, g2).
-    """
-    times = np.asarray(times, dtype=float)
-    return np.column_stack([times, cross_correlation(params, times)])

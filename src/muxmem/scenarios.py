@@ -34,7 +34,7 @@ from .ensemble import (
     rephasing_time,
     sample_ensemble,
 )
-from .model import _check, _g2, _max_modes, cross_correlation, g2_vs_storage
+from .model import _check, _g2, _max_modes, cross_correlation
 from .protocol import ModeSchedule, build_schedule, crosstalk_matrix, run_train
 from .repeater import (
     FREEZE_RELEASE,
@@ -226,12 +226,12 @@ def _scenario_crosstalk(cfg):
 def _scenario_storage_decay(cfg):
     times = np.linspace(0.0, cfg.options["time_stop_s"], cfg.options["n_points"])
     nocav = replace(cfg.memory, beta_ratio=cfg.options["beta_nocavity"])
-    g2_c, g2_nc = g2_vs_storage(cfg.memory, times), g2_vs_storage(nocav, times)
-    rows = list(zip(times.tolist(), g2_c[:, 1].tolist(), g2_nc[:, 1].tolist()))
+    g2_c = cross_correlation(cfg.memory, times).tolist()
+    g2_nc = cross_correlation(nocav, times).tolist()
+    rows = list(zip(times.tolist(), g2_c, g2_nc))
     tau = cfg.memory.tau_mem
-    g2c0 = cross_correlation(cfg.memory)
+    g2c0, g2n0 = g2_c[0], g2_nc[0]  # times[0] is 0.0 exactly
     g2ct = cross_correlation(cfg.memory, storage_time=tau)
-    g2n0 = cross_correlation(nocav)
     g2nt = cross_correlation(nocav, storage_time=tau)
     summary = {
         "tau_mem_s": tau,

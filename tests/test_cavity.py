@@ -3,6 +3,7 @@
 import contextlib
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -176,6 +177,23 @@ def test_cavity_validation(kwargs):
 def test_pulse_validation():
     with pytest.raises(ValueError):
         PulseSpec(0.0)
+
+
+@pytest.mark.parametrize("loss", [0.0, 1.0, math.nan])
+def test_optimal_outcoupler_checks_the_loss_with_cavity_params_message(loss):
+    with pytest.raises(ValueError, match=rf"^loss must lie in \(0, 1\), got {loss}$"):
+        optimal_outcoupler(loss)
+
+
+@pytest.mark.parametrize("duration", [1.8e153, 1e155, 1e161, 1e162, 1e300])
+def test_effective_enhancement_rejects_a_pulse_whose_spectral_variance_underflows(duration):
+    # 2 sigma^2 is subnormal from about 1.8e153 s and zero from about 1e162 s,
+    # where the overlap would be off, then wrong, then a ZeroDivisionError.
+    with pytest.raises(ValueError, match=rf"^duration_fwhm .*underflows, got {re.escape(repr(duration))}$"):
+        effective_enhancement(CAV, PulseSpec(duration))
+    # The longest pulse with a normal variance still has the narrow-band limit.
+    assert effective_enhancement(CAV, PulseSpec(1.7e153)) == pytest.approx(
+        enhancement_factor(CAV), rel=1e-12)
 
 
 # --- The scipy-free ports give scipy's bits -------------------------------

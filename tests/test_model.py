@@ -25,7 +25,6 @@ from muxmem.model import (
     cavity_gain,
     coincidence_prob,
     cross_correlation,
-    g2_vs_storage,
     max_modes,
     noise_given_write,
     read_prob,
@@ -167,13 +166,13 @@ def test_g2_decreases_with_storage():
     assert all(a > b for a, b in zip(g2, g2[1:]))
 
 
-def test_g2_vs_storage_shape():
+def test_cross_correlation_over_a_storage_grid():
+    # The storage-decay scenario's call: a linspace grid whose first time is 0.0.
     times = np.linspace(0.0, 100e-6, 11)
-    out = g2_vs_storage(BASE, times)
-    assert out.shape == (11, 2)
-    np.testing.assert_allclose(out[:, 0], times)
-    assert out[0, 1] == pytest.approx(cross_correlation(BASE))
-    assert out[-1, 1] == pytest.approx(cross_correlation(BASE, times[-1]))
+    out = cross_correlation(BASE, times)
+    assert out.shape == (11,)
+    assert times[0] == 0.0 and out[0] == cross_correlation(BASE)
+    assert out[-1] == cross_correlation(BASE, times[-1])
 
 
 def test_storage_decay_drop_of_excess_correlation():
@@ -282,10 +281,10 @@ def test_param_validation(kwargs):
         MemoryParams(**fields)
 
 
-def test_g2_vs_storage_rejects_negative_time():
+def test_cross_correlation_rejects_a_negative_time_in_an_array():
     # The check is p_int's, reached through cross_correlation.
     with pytest.raises(ValueError, match="^storage_time must be >= 0$"):
-        g2_vs_storage(BASE, [0.0, -1e-9])
+        cross_correlation(BASE, np.array([0.0, -1e-9]))
 
 
 NAN, INF = math.nan, math.inf
@@ -420,7 +419,6 @@ def test_array_g2_has_the_bits_of_scalar_calls(params, scaled, modes, betas):
         assert whole == next(v for v in per_time if isinstance(v, tuple))
     else:
         assert whole.tolist() == per_time
-        assert g2_vs_storage(params, times)[:, 1].tolist() == per_time
     # Mode counts and suppressions as arrays, at one storage time.
     t = times[0]
     cells = [[outcome(lambda: cross_correlation(replace(params, n_modes=n, beta_ratio=b), t))

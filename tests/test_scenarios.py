@@ -156,8 +156,8 @@ def test_scan_scenarios_build_no_parameters_per_row(scenario, monkeypatch):
     assert large_rows == 4 * small_rows
     assert large == small
     # At most one MemoryParams, for a summary value; cavity-design builds a
-    # CavityParams for each scan end and each of optimal_outcoupler's steps.
-    assert small <= (30 if scenario == "cavity-design" else 1)
+    # CavityParams for each scan end and one for optimal_outcoupler's loss check.
+    assert small <= (3 if scenario == "cavity-design" else 1)
 
 
 def test_cli_config_error_exit_2(tmp_path, capsys):
@@ -188,6 +188,23 @@ def test_cli_max_modes_without_retrieval_exit_3(tmp_path, capsys):
                    '"options": {"p_int_values": [0.0, 0.4]}}')
     assert main(["max-modes", "--config", str(bad), "--out", str(tmp_path)]) == 3
     assert "zero read probability" in capsys.readouterr().err
+
+
+def test_cli_p_int_value_above_one_exit_2(tmp_path, capsys):
+    bad = tmp_path / "over.json"
+    bad.write_text('{"scenario": "max-modes", "options": {"p_int_values": [0.4, 1.5]}}')
+    assert main(["max-modes", "--config", str(bad), "--out", str(tmp_path)]) == 2
+    assert ("config error: options.p_int_values[1]: must be [0, 1] (efficiency), got 1.5"
+            in capsys.readouterr().err)
+
+
+def test_cli_pulse_too_long_for_the_overlap_exit_3(tmp_path, capsys):
+    bad = tmp_path / "long.json"
+    bad.write_text('{"scenario": "pulse-enhancement", "options": {"durations_s": [1e-6, 1e200]}}')
+    assert main(["pulse-enhancement", "--config", str(bad), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "model error: duration_fwhm" in err and "Traceback" not in err
+    assert not (tmp_path / "pulse-enhancement.csv").exists()
 
 
 def test_cli_no_rephasing_exit_3(tmp_path, capsys):
