@@ -3,8 +3,9 @@
 :func:`block_keys` derives the key of every block of a call at once, in the
 uint32 arithmetic of numpy's ``SeedSequence`` hash; :func:`rekey` points a
 worker's generator at a block's stream; :func:`run_workers` runs a call's
-tasks on one worker per usable CPU, each worker taking the next task from one
-shared queue as it frees up.
+tasks on one worker per usable CPU, the calling thread and threads that the
+call starts and joins, each worker taking the next task from one shared
+queue as it frees up.
 """
 
 from __future__ import annotations
@@ -63,52 +64,37 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-# Workers 1 ... W - 1 of every call run on one pool of (usable CPUs - 1)
-# threads, made on first use and replaced when the CPU count changes.
-_pool = None            # (threads, ThreadPoolExecutor), or None at one CPU
-_pool_lock = threading.Lock()
-
-
-def _forget_pool() -> None:
-    """In a forked child: none of the parent's threads, nor its lock holder, exist."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
 def run_workers(fn, tasks: int) -> list:
-    """``fn(queue)`` on W = min(tasks, usable CPUs) workers; the results of those that ran.
+    """``fn(queue)`` on W = min(tasks, usable CPUs) workers (at least one); their results.
 
     The workers' queues share one lock-guarded ``iter(range(tasks))``, so each
-    index goes exactly once, to whichever worker frees up first.  Worker 0
+    index goes at most once, to whichever worker frees up first.  Worker 0
     runs on the calling thread, and its result comes first; workers 1 ... W - 1
-    are queued on the shared pool, so a call starts no thread of its own.
-    Once worker 0 has emptied the queue, a pool worker that has not started
-    (it may wait behind another call's) is cancelled, not waited for.  Every
-    call first sizes the pool to the usable CPUs less one (no pool, and no
-    ``concurrent.futures`` import, at one CPU), so a pool sized for CPUs that
-    went away does not keep its threads.  A forked child makes its own pool.
+    run on threads that the call starts and joins before it returns, so no
+    engine thread outlives a call.  An exception in any worker stops the
+    hand-out, and once every worker has returned the first one is raised here.
     """
-    global _pool
-    cpus = _usable_cpus()
-    indices, lock = iter(range(tasks)), threading.Lock()
+    indices, lock, errors = iter(range(tasks)), threading.Lock(), []
 
     def take():
         with lock:
-            return next(indices, None)
+            return None if errors else next(indices, None)
 
-    old = None
-    with _pool_lock:    # no call submits to a pool that another shuts down
-        if (_pool[0] if _pool else 0) != cpus - 1:
-            from concurrent.futures import ThreadPoolExecutor  # loads logging
-            old, _pool = _pool, None
-            if cpus > 1:
-                _pool = (cpus - 1, ThreadPoolExecutor(cpus - 1, "muxmem-engine"))
-        futures = [_pool[1].submit(fn, iter(take, None)) for _ in range(1, min(tasks, cpus))]
-    if old is not None:
-        old[1].shutdown()  # its queued work still runs; then its threads exit
-    first = fn(iter(take, None))
-    return [first] + [future.result() for future in futures if not future.cancel()]
+    def work(i):
+        try:
+            results[i] = fn(iter(take, None))
+        except BaseException as exc:
+            with lock:
+                errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(i,), name=f"muxmem-engine-{i}")
+               for i in range(1, min(tasks, _usable_cpus()))]
+    results = [None] * (1 + len(threads))
+    for thread in threads:
+        thread.start()
+    work(0)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return results

@@ -24,11 +24,11 @@ from dataclasses import dataclass, field, replace
 from .cavity import SPEED_OF_LIGHT, CavityParams, PulseSpec
 from .ensemble import K_SW_DEFAULT, TEMPERATURE_DEFAULT, ZEEMAN_COEFF_DEFAULT
 from .model import DECAY_SHAPES, MemoryParams
-from .repeater import FREEZE_RELEASE, LinkParams
+from .repeater import FREEZE_RELEASE, IMMEDIATE_REVERSAL, LinkParams
 
 
 #: Names accepted for ``schedule.policy``; the first is the default.
-SCHEDULE_POLICIES = ("immediate_after_last", FREEZE_RELEASE)
+SCHEDULE_POLICIES = (IMMEDIATE_REVERSAL, FREEZE_RELEASE)
 
 
 class ConfigError(ValueError):

@@ -13,7 +13,8 @@ at its programmed readout.
 
 :func:`run_trials` states the engine's contract: blocks, streams, passes,
 and why no bit depends on the CPU count.  :func:`muxmem._streams.run_workers`
-hands the passes out to the CPUs.
+hands the passes out to the calling thread and to threads that each call
+starts and joins.
 """
 
 from __future__ import annotations
@@ -218,8 +219,9 @@ def run_trials(
     splitter binomials from its own stream into its own rows, then the pass
     is tallied with one set of numpy calls, so no bit depends on the pass
     layout.  Each pass goes to the first worker to free up, one per usable CPU
-    (:func:`_streams.run_workers`), each into its own tally, and the tallies
-    add as integers, exact in any order.  The unconditional reads, which no
+    (:func:`_streams.run_workers`: the calling thread, and threads the call
+    joins before it returns), each into its own tally, and the tallies add as
+    integers, exact in any order.  The unconditional reads, which no
     draw changes, are set once per call for every readout: the k-th
     unconditional read reads mode k mod M (or the fixed mode), k counting the
     odd trials under feed-forward and every trial otherwise.  ``n_reads`` adds

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from .cavity import SPEED_OF_LIGHT
 from .model import _integer
 
-IMMEDIATE_REVERSAL = "immediate_reversal"
+IMMEDIATE_REVERSAL = "immediate_after_last"
 FREEZE_RELEASE = "freeze_release"
 
 

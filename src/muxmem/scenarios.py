@@ -292,23 +292,12 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     return ScenarioResult(result.columns, result.rows, summary)
 
 
-def _cell(value):
-    if type(value) is float:
-        return repr(value)
-    if type(value) is int:
-        return str(value)
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return str(int(value))
-    return repr(float(value))
-
-
 def emit_csv(path, result: ScenarioResult) -> None:
-    """Write rows as CSV with repr-exact floats (deterministic bytes)."""
+    """Write rows as CSV; every cell is a Python int or float, whose ``str`` is repr-exact."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(result.columns)
-        for row in result.rows:
-            writer.writerow([_cell(v) for v in row])
+        writer.writerows(result.rows)
 
 
 def emit_json(path, result: ScenarioResult) -> None:

@@ -11,6 +11,7 @@ from muxmem.config import (
     BLOCK_SPECS,
     OPTION_SPECS,
     SCENARIOS,
+    SCHEDULE_POLICIES,
     ConfigError,
     ScenarioConfig,
     parse_config,
@@ -269,7 +270,7 @@ ROW_VALUES = {
     "schedule": {
         "mode_spacing_s": st.floats(1e-6, 1e-3), "write_duration_s": st.floats(1e-9, 9e-7),
         "gradient_g_per_cm": signed, "bias_g": signed, "drift_rate_per_s": signed,
-        "policy": st.sampled_from(["immediate_after_last", "freeze_release"]),
+        "policy": st.sampled_from(SCHEDULE_POLICIES),
         "freeze_time_s": st.floats(1e-9, 1e-3), "release_time_s": st.floats(2e-3, 1e-2),
     },
     "link": {

@@ -1,6 +1,5 @@
 """Trial engine, tallies, and correlation estimators."""
 
-import contextlib
 import dataclasses
 import functools
 import hashlib
@@ -797,18 +796,18 @@ def test_pass_layouts_change_no_bit(per_pass, cpus, readout, variant):
     assert_tallies_equal(got, layout_reference(readout, variant))
 
 
-# Block counts around the pool sizes: one partial block; three blocks, the
-# last partial, with more CPUs than blocks; and nine full blocks, more
-# blocks than any pool here.
-POOL_TRIALS = (1, 2 * BLOCK_SIZE + 17, 9 * BLOCK_SIZE)
+# Block counts around the worker counts: one partial block; three blocks,
+# the last partial, with more CPUs than blocks; and nine full blocks, more
+# blocks than workers here.
+WORKER_TRIALS = (1, 2 * BLOCK_SIZE + 17, 9 * BLOCK_SIZE)
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
-@pytest.mark.parametrize("n_trials", POOL_TRIALS)
+@pytest.mark.parametrize("n_trials", WORKER_TRIALS)
 def test_tally_same_bits_on_any_cpu_count(cpus, n_trials):
-    # ``cpus`` stands in for the usable CPU count, so the pool runs with one
-    # worker, with a worker short of a full round of blocks, and with more
-    # CPUs than blocks on any machine.
+    # ``cpus`` stands in for the usable CPU count, so the call runs one
+    # worker, a worker short of a full round of blocks, and more CPUs than
+    # blocks on any machine.
     mem = replace(PINNED, n_modes=9)
     schedule = reversal_schedule(9)
     with mock.patch.object(_streams, "_usable_cpus", lambda: cpus):
@@ -817,7 +816,7 @@ def test_tally_same_bits_on_any_cpu_count(cpus, n_trials):
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
-@pytest.mark.parametrize("n_trials", POOL_TRIALS)
+@pytest.mark.parametrize("n_trials", WORKER_TRIALS)
 @pytest.mark.parametrize("readout", [CYCLE, 4])
 def test_unconditional_reads_same_bits_on_any_cpu_count(readout, cpus, n_trials):
     # Cycled and fixed readouts set n_reads, n_uncond_reads and
@@ -830,22 +829,22 @@ def test_unconditional_reads_same_bits_on_any_cpu_count(readout, cpus, n_trials)
     assert_tallies_equal(got, loop_run_trials(mem, schedule, n_trials, 77, readout))
 
 
-def pool_digests():
-    """Per-field tally digests over ``POOL_TRIALS`` at nine modes."""
+def worker_digests():
+    """Per-field tally digests over ``WORKER_TRIALS`` at nine modes."""
     mem = replace(PINNED, n_modes=9)
     return [tally_field_digests(run_trials(mem, reversal_schedule(9), n, seed=77))
-            for n in POOL_TRIALS]
+            for n in WORKER_TRIALS]
 
 
 # The child pins itself to one CPU (only its own process), so run_trials
-# sizes its pool to one worker there, then prints the tally digests.
+# runs one worker there, then prints the tally digests.
 ONE_CPU_CHILD = """
 import os, sys
 os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 sys.path.insert(0, sys.argv[1])
-from test_protocol import pool_digests
+from test_protocol import worker_digests
 print(len(os.sched_getaffinity(0)))
-print("\\n".join(pool_digests()))
+print("\\n".join(worker_digests()))
 """
 
 
@@ -855,21 +854,26 @@ def test_tally_same_bits_on_one_cpu():
     proc = subprocess.run([sys.executable, "-c", ONE_CPU_CHILD, str(Path(__file__).parent)],
                           capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["1", *pool_digests()]
+    assert proc.stdout.splitlines() == ["1", *worker_digests()]
 
 
 # The child pins itself to one CPU, then lists the lazily imported modules
-# loaded after ``import muxmem`` and after a one-worker call of four passes.
+# loaded after ``import muxmem``, after a one-worker call of four passes and
+# after the same call on two usable CPUs.
 LAZY_IMPORTS_CHILD = """
 import os, sys
 os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 lazy = ("concurrent.futures", "logging", "muxmem._numerics")
 import muxmem
+from muxmem import _streams
 print([name for name in lazy if name in sys.modules])
 mem = muxmem.MemoryParams(0.045, 0.3, 0.25, 0.4, 14.0, n_modes=3)
 timeline = muxmem.FieldTimeline.reversal(2.0, 2.0e-6)
-muxmem.run_trials(mem, muxmem.build_schedule(3, 800e-9, 266e-9, timeline), 16 * 4096 - 5, 1)
-print([name for name in lazy if name in sys.modules])
+schedule = muxmem.build_schedule(3, 800e-9, 266e-9, timeline)
+for cpus in (1, 2):
+    _streams._usable_cpus = lambda: cpus
+    muxmem.run_trials(mem, schedule, 16 * 4096 - 5, 1)
+    print([name for name in lazy if name in sys.modules])
 """
 
 
@@ -877,13 +881,13 @@ print([name for name in lazy if name in sys.modules])
                     reason="os.sched_setaffinity is not available")
 def test_one_worker_call_imports_no_thread_pool():
     # ``concurrent.futures`` loads ``logging``, and ``_numerics`` is cavity's
-    # alone: ``import muxmem`` loads neither, and on one CPU the engine makes
-    # no pool, so a call imports no ``concurrent.futures`` either.  Set-up
-    # time and peak memory depend on it.
+    # alone: ``import muxmem`` loads neither, and the engine's workers are
+    # plain threads, so no call imports them either, at one CPU or at two.
+    # Set-up time and peak memory depend on it.
     proc = subprocess.run([sys.executable, "-c", LAZY_IMPORTS_CHILD],
                           capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "[]"]
+    assert proc.stdout.splitlines() == ["[]", "[]", "[]"]
 
 
 def engine_threads():
@@ -891,20 +895,21 @@ def engine_threads():
 
 
 def test_worker_threads_bounded_over_many_calls():
-    # The pool is kept across calls and resized with the CPU count: after a
-    # pool for 8 CPUs and 100 more calls, no thread is left beyond the
-    # usable CPUs less the calling one.  Nine one-mode blocks are 3 passes.
+    # Each call joins the threads it starts: after every call, at 8 CPUs and
+    # at the real count, no engine thread is alive and no thread is left.
+    # Nine one-mode blocks are 3 passes.
     mem, schedule = replace(PINNED, n_modes=1), reversal_schedule(1)
     n_trials = 8 * BLOCK_SIZE + 1
-    baseline = threading.active_count() - len(engine_threads())
+    baseline = threading.active_count()
     with mock.patch.object(_streams, "_usable_cpus", lambda: 8):
         for seed in range(3):
             run_trials(mem, schedule, n_trials, seed)
-        assert threading.active_count() <= baseline + 7
+            assert not engine_threads()
+            assert threading.active_count() <= baseline
     for seed in range(100):
         run_trials(mem, schedule, n_trials, seed)
-    assert threading.active_count() <= baseline + _streams._usable_cpus() - 1
-    assert len(engine_threads()) <= _streams._usable_cpus() - 1
+        assert not engine_threads()
+        assert threading.active_count() <= baseline
 
 
 CONCURRENT_JOBS = [(5, FEED_FORWARD), (3, CYCLE), (4, 2), (1, CYCLE)]
@@ -912,11 +917,11 @@ CONCURRENT_JOBS = [(5, FEED_FORWARD), (3, CYCLE), (4, 2), (1, CYCLE)]
 
 @pytest.mark.parametrize("callers", [2, 3, 4])
 def test_concurrent_callers_get_serial_tallies(callers):
-    # Callers share the pool, with one-block passes so that every call has
+    # Callers run at once, with one-block passes so that every call has
     # work for four workers.  The CPU count they see changes every four
-    # calls, so a call may replace the pool while others still have work
-    # queued on it.  Each call must get the tally of the same call made
-    # alone, and no replaced pool may keep its threads.
+    # calls, so calls with different worker counts overlap.  Each call must
+    # get the tally of the same call made alone, and no engine thread may
+    # outlive the calls.
     jobs = [(replace(PINNED, n_modes=m), reversal_schedule(m), 3 * BLOCK_SIZE + 5, 300 + i, r)
             for i, (m, r) in enumerate(CONCURRENT_JOBS[:callers])]
     serial = [loop_run_trials(mem, sch, n, seed, r) for mem, sch, n, seed, r in jobs]
@@ -947,8 +952,7 @@ def test_concurrent_callers_get_serial_tallies(callers):
         assert len(got) == 8
         for tally in got:
             assert_tallies_equal(tally, want)
-    run_trials(*jobs[0][:4])   # one call at the real CPU count
-    assert len(engine_threads()) <= _streams._usable_cpus() - 1
+    assert not engine_threads()
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
@@ -971,54 +975,44 @@ def test_run_workers_hands_out_every_task_once(cpus, tasks):
             results = _streams.run_workers(fn, tasks)
     finally:
         sys.setswitchinterval(interval)
-    assert 1 <= len(results) <= min(tasks, cpus)
+    assert len(results) == min(tasks, cpus)
     assert sorted(itertools.chain(*results)) == list(range(tasks))
     assert all(taken == sorted(taken) for taken in results)
 
 
-@contextlib.contextmanager
-def pool_thread_held():
-    """Under two usable CPUs, hold the pool's one thread until the block exits.
-
-    Every pool worker submitted meanwhile waits behind the held task, which
-    has no timeout of its own: a call that waited for it would hang until
-    the block exits.
-    """
-    started, release = threading.Event(), threading.Event()
-    _streams.run_workers(list, 1)          # sizes the pool to one thread
-    held = _streams._pool[1].submit(lambda: (started.set(), release.wait()))
-    assert started.wait(timeout=60)
-    try:
-        yield
-    finally:
-        release.set()
-        held.result(timeout=60)
-
-
-def test_run_workers_cancels_a_pool_worker_that_has_not_started():
-    # The call's pool worker waits behind the held thread, so the calling
-    # thread takes every task and returns without waiting for it; once the
-    # thread is free, the cancelled worker never runs.
-    ran, got = [], []
+def test_run_workers_raises_a_worker_failure():
+    # The calling thread takes task 0; then worker 1 takes task 1 and raises.
+    # The calling thread asks for more only once worker 1's thread has ended.
+    # The call raises worker 1's exception, hands out no task after it, and
+    # leaves no engine thread behind.
+    caller, boom = threading.get_ident(), RuntimeError("worker 1")
+    held, failed = threading.Event(), threading.Event()
+    taken, failing = [], []
 
     def fn(queue):
-        ran.append(threading.get_ident())
-        return list(queue)
+        if threading.get_ident() != caller:
+            assert held.wait(timeout=60)
+            taken.append(next(queue))
+            failing.append(threading.current_thread())
+            failed.set()
+            raise boom
+        for task in queue:
+            taken.append(task)
+            held.set()
+            assert failed.wait(timeout=60)
+            failing[0].join(timeout=60)
+        return taken
 
-    caller = threading.Thread(target=lambda: got.append(_streams.run_workers(fn, 10)))
-    with mock.patch.object(_streams, "_usable_cpus", lambda: 2):
-        with pool_thread_held():
-            caller.start()
-            caller.join(timeout=60)
-            returned = not caller.is_alive()
-        _streams._pool[1].submit(int).result(timeout=60)   # after any queued work
-    assert returned
-    assert got == [[list(range(10))]]
-    assert ran == [caller.ident]
+    with mock.patch.object(_streams, "_usable_cpus", lambda: 2), \
+            pytest.raises(RuntimeError) as raised:
+        _streams.run_workers(fn, 100)
+    assert raised.value is boom
+    assert taken == [0, 1]
+    assert not engine_threads()
 
 
-def stalled_pool(lead):
-    """``run_workers`` whose pool workers start once the caller has taken ``lead`` tasks."""
+def stalled_workers(lead):
+    """``run_workers`` whose threads start work once the caller has taken ``lead`` tasks."""
     def run(fn, tasks):
         caller, go = threading.get_ident(), threading.Event()
 
@@ -1041,27 +1035,25 @@ def stalled_pool(lead):
     return run
 
 
-@pytest.mark.parametrize("n_trials", POOL_TRIALS)
+@pytest.mark.parametrize("n_trials", WORKER_TRIALS)
 @pytest.mark.parametrize("readout", [FEED_FORWARD, CYCLE, 4])
 def test_tally_same_bits_when_the_caller_runs_most_passes(readout, n_trials):
-    # One-block passes on two CPUs, the pool worker stalled until the calling
+    # One-block passes on two CPUs, worker 1 stalled until the calling
     # thread has taken 7 of the 9 passes of the largest call (every pass of
     # the smaller ones): a hand-out no fixed striding gives.
     mem = replace(PINNED, n_modes=9)
     schedule = reversal_schedule(9)
     with mock.patch.object(_streams, "_usable_cpus", lambda: 2), \
             mock.patch.object(protocol, "_PASS_BLOCKS", 1), \
-            mock.patch.object(protocol, "run_workers", stalled_pool(7)):
+            mock.patch.object(protocol, "run_workers", stalled_workers(7)):
         got = run_trials(mem, schedule, n_trials, seed=77, readout=readout)
     assert_tallies_equal(got, loop_run_trials(mem, schedule, n_trials, 77, readout))
 
 
-@pytest.mark.parametrize("held", [False, True])
-def test_concurrent_callers_queue_behind_each_other(held):
-    # Two callers share the one pool thread of two CPUs, so one caller's
-    # pool worker waits behind the other's, and is cancelled if its caller
-    # empties its own queue first.  Held, the pool thread is busy until both
-    # callers have returned, so each runs every pass of its calls itself.
+def test_two_callers_on_two_cpus_get_serial_tallies():
+    # Two callers at once on two CPUs, each call with its own second worker
+    # thread, so four workers draw on two CPUs.  Each call must get the
+    # tally of the same call made alone.
     jobs = [(replace(PINNED, n_modes=m), reversal_schedule(m), 3 * BLOCK_SIZE + 5, 300 + i, r)
             for i, (m, r) in enumerate(CONCURRENT_JOBS[:2])]
     serial = [loop_run_trials(mem, sch, n, seed, r) for mem, sch, n, seed, r in jobs]
@@ -1076,8 +1068,7 @@ def test_concurrent_callers_queue_behind_each_other(held):
 
     threads = [threading.Thread(target=call, args=(i,)) for i in range(len(jobs))]
     with mock.patch.object(_streams, "_usable_cpus", lambda: 2), \
-            mock.patch.object(protocol, "_PASS_BLOCKS", 1), \
-            (pool_thread_held() if held else contextlib.nullcontext()):
+            mock.patch.object(protocol, "_PASS_BLOCKS", 1):
         for t in threads:
             t.start()
         for t in threads:
@@ -1095,10 +1086,10 @@ def fork_child(queue):
                                              reversal_schedule(9), 9 * BLOCK_SIZE, seed=77)))
 
 
-@pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="no os.register_at_fork")
-def test_forked_child_makes_its_own_pool():
-    # A forked child has none of the parent's pool threads; with the
-    # parent's pool it would queue its work forever.
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+def test_forked_child_gets_the_parents_digests():
+    # A child forked after a two-worker call starts its own worker thread
+    # and gets the parent's tally.
     with mock.patch.object(_streams, "_usable_cpus", lambda: 2):
         want = tally_field_digests(run_trials(replace(PINNED, n_modes=9),
                                               reversal_schedule(9), 9 * BLOCK_SIZE, seed=77))

@@ -1,10 +1,12 @@
 """Link rate and latency arithmetic."""
 
+import json
 import math
 
 import pytest
 from scipy.constants import c
 
+from muxmem.config import SCHEDULE_POLICIES, parse_config
 from muxmem.repeater import (
     FREEZE_RELEASE,
     IMMEDIATE_REVERSAL,
@@ -56,6 +58,19 @@ def test_readout_latency():
     assert readout_latency(link, FREEZE_RELEASE, frozen_interval=3e-6) == pytest.approx(15e-6)
     zero = LinkParams(100e3, 2e8, herald_time=0.0, decision_delay=0.0)
     assert readout_latency(zero, IMMEDIATE_REVERSAL) == 0.0
+
+
+def test_parsed_policy_is_a_readout_policy():
+    # The config's policy names are the readout policies: a parsed
+    # schedule.policy, the default too, goes straight to readout_latency.
+    assert SCHEDULE_POLICIES == (IMMEDIATE_REVERSAL, FREEZE_RELEASE)
+    link = {"herald_time_s": 10e-6, "decision_delay_s": 2e-6}
+    freeze = {"freeze_time_s": 1e-6, "release_time_s": 5e-6}
+    for schedule, latency in [({}, 24e-6), ({"policy": IMMEDIATE_REVERSAL}, 24e-6),
+                              ({"policy": FREEZE_RELEASE, **freeze}, 12e-6)]:
+        cfg = parse_config(json.dumps({"scenario": "repeater-rate", "link": link,
+                                       "schedule": schedule}))
+        assert readout_latency(cfg.link, cfg.schedule.policy) == pytest.approx(latency)
 
 
 def test_latency_for_full_train_storage():

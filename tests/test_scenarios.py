@@ -124,6 +124,16 @@ def test_csv_floats_round_trip_exactly(tmp_path):
         assert parsed == [float(v) for v in row]
 
 
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_every_cell_is_a_python_int_or_float(scenario):
+    # emit_csv writes each cell's str, which is repr-exact only for Python
+    # ints and floats: a numpy scalar such as np.float32 would change bytes.
+    for text in (json.dumps({"scenario": scenario}), Path(golden_config(scenario)).read_text()):
+        rows = run_scenario(parse_config(text)).rows
+        assert rows
+        assert {type(cell) for row in rows for cell in row} <= {int, float}
+
+
 # Each scan scenario's options at its default grid and at a grid four times as
 # large on one axis.
 SCAN_GRIDS = {
